@@ -18,6 +18,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
+import scipy.sparse
 
 from .errors import (
     Disconnected,
@@ -79,6 +80,15 @@ class FactorGraph:
     n_nodes: int
     factors: tuple[Factor, ...]
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # graphs key the lru_caches of the bound layers; hashing every
+        # factor on each lookup would cost O(|F|) per call
+        return hash((self.n_nodes, self.factors))
+
     @cached_property
     def node_adjacency(self) -> tuple[tuple[int, ...], ...]:
         """For each node, indices into ``factors`` of incident factors."""
@@ -87,6 +97,23 @@ class FactorGraph:
             for node in f.nodes:
                 adj[node].append(fi)
         return tuple(tuple(a) for a in adj)
+
+    @cached_property
+    def factor_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """For each factor, sorted indices of the other factors sharing a node."""
+        return tuple(
+            tuple(
+                sorted(
+                    {
+                        other
+                        for node in f.nodes
+                        for other in self.node_adjacency[node]
+                        if other != fi
+                    }
+                )
+            )
+            for fi, f in enumerate(self.factors)
+        )
 
     @cached_property
     def n_edges(self) -> int:
@@ -114,10 +141,17 @@ class FactorGraph:
                         queue.append(other)
         return len(seen_nodes) == self.n_nodes and len(seen_factors) == len(self.factors)
 
+    @cached_property
+    def _factor_positions(self) -> dict[Factor, int]:
+        positions: dict[Factor, int] = {}
+        for fi, f in enumerate(self.factors):
+            positions.setdefault(f, fi)
+        return positions
+
     def factor_index(self, f: Factor) -> int:
         try:
-            return self.factors.index(f)
-        except ValueError:
+            return self._factor_positions[f]
+        except KeyError:
             raise NodeOutOfRange(f"factor {f} not in graph") from None
 
 
@@ -136,8 +170,35 @@ class WeightedFactorGraph:
         if any(not (w > 0) for w in self.weights):
             raise InvalidParams("factor weights must be positive")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.graph, self.weights))
+
     def weight_of(self, f: Factor) -> float:
         return self.weights[self.graph.factor_index(f)]
+
+    @cached_property
+    def h_sparse(self) -> scipy.sparse.csr_array:
+        """Pairwise weight matrix h in CSR form; shared, so never modify it.
+
+        h_ab sums the weights of the factors containing both a and b, added
+        in factor order; the diagonal is zero.  ``path_bounds.h_matrices``
+        densifies this matrix.
+        """
+        pair_weight: dict[tuple[int, int], float] = {}
+        for f, w in zip(self.factors, self.weights):
+            for a_idx, a in enumerate(f.nodes):
+                for b in f.nodes[a_idx + 1:]:
+                    pair_weight[a, b] = pair_weight.get((a, b), 0.0) + w
+        rows = [a for a, _ in pair_weight]
+        cols = [b for _, b in pair_weight]
+        data = np.array(list(pair_weight.values()) * 2, dtype=float)
+        return scipy.sparse.csr_array(
+            (data, (rows + cols, cols + rows)), shape=(self.n_nodes,) * 2
+        )
 
     @property
     def n_nodes(self) -> int:

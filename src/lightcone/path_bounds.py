@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -70,84 +70,84 @@ class IrreduciblePath:
         return len(self.factors)
 
 
-def _has_distinct_connectors(factors: Sequence[Factor], i: int, j: int) -> bool:
-    """System-of-distinct-representatives check for consecutive overlaps."""
-    slots = [
-        (a.node_set & b.node_set) - {i, j}
-        for a, b in zip(factors, factors[1:])
-    ]
-    owner: dict[int, int] = {}  # node -> slot currently using it
-
-    def assign(slot: int, taken: set[int]) -> bool:
-        for v in slots[slot]:
-            if v in taken:
-                continue
-            taken.add(v)
-            if v not in owner or assign(owner[v], taken):
-                owner[v] = slot
-                return True
-        return False
-
-    return all(assign(s, set()) for s in range(len(slots)))
-
-
 @lru_cache(maxsize=256)
 def _enumerate_cached(
     g: WeightedFactorGraph, i: int, j: int, l_max: int
 ) -> tuple[IrreduciblePath, ...]:
     base = g.graph
     factors = base.factors
+    neighbors = base.factor_neighbors
     # bipartite distance from j, for a lower bound on remaining path length:
     # a factor at odd distance d from j needs (d+1)/2 more factors inclusive
     dist_from_j = _bfs_distance(base, j)
-    needed = {
-        f: (dist_from_j[f] + 1) // 2 for f in factors if f in dist_from_j
-    }
-    found: list[IrreduciblePath] = []
-    path: list[Factor] = []
-    used: set[Factor] = set()
-
-    factor_neighbors: dict[Factor, list[Factor]] = {
-        f: sorted(
-            {
-                factors[fi]
-                for node in f.nodes
-                for fi in base.node_adjacency[node]
-                if factors[fi] != f
-            }
-        )
+    needed = [
+        (dist_from_j[f] + 1) // 2 if f in dist_from_j else l_max + 1
         for f in factors
-    }
+    ]
+    holds_i = set(base.node_adjacency[i])
+    found: list[IrreduciblePath] = []
+    path: list[int] = []
+    used = [False] * len(factors)
+    # connector slots of the path so far, kept matched to distinct nodes
+    slots: list[list[int]] = []
+    owner: dict[int, int] = {}  # connector node -> slot matched to it
+    trail: list[tuple[int, int | None]] = []  # (node, previous owner)
 
-    def dfs(cur: Factor) -> None:
-        if j in cur:
-            if _has_distinct_connectors(path, i, j):
-                found.append(
-                    IrreduciblePath(source=i, target=j, factors=tuple(path))
+    def augment(slot: int, seen: set[int]) -> bool:
+        """Kuhn step: match ``slot``, re-matching earlier slots if needed."""
+        for v in slots[slot]:
+            if v in seen:
+                continue
+            seen.add(v)
+            prev = owner.get(v)
+            if prev is None or augment(prev, seen):
+                trail.append((v, prev))
+                owner[v] = slot
+                return True
+        return False
+
+    def unwind(mark: int) -> None:
+        while len(trail) > mark:
+            v, prev = trail.pop()
+            if prev is None:
+                del owner[v]
+            else:
+                owner[v] = prev
+
+    def dfs(cur: int) -> None:
+        if j in factors[cur]:
+            found.append(
+                IrreduciblePath(
+                    source=i, target=j, factors=tuple(factors[k] for k in path)
                 )
+            )
             return  # j may only sit in the final factor
         if len(path) == l_max:
             return
-        for nxt in factor_neighbors[cur]:
-            if nxt in used or i in nxt:
+        for nxt in neighbors[cur]:
+            if used[nxt] or nxt in holds_i or len(path) + needed[nxt] > l_max:
                 continue
-            if len(path) + needed.get(nxt, l_max + 1) > l_max:
-                continue
-            path.append(nxt)
-            used.add(nxt)
-            dfs(nxt)
-            used.remove(nxt)
-            path.pop()
+            # the new slot is the whole overlap: nxt holds no i, cur no j
+            slots.append([v for v in factors[cur].nodes if v in factors[nxt]])
+            mark = len(trail)
+            # the slots of every extension include these, so a prefix
+            # without distinct connectors cannot complete
+            if augment(len(slots) - 1, set()):
+                path.append(nxt)
+                used[nxt] = True
+                dfs(nxt)
+                used[nxt] = False
+                path.pop()
+                unwind(mark)
+            slots.pop()
 
-    for first in factors:
-        if i not in first:
-            continue
-        if needed.get(first, l_max + 1) > l_max:
+    for first in sorted(holds_i):
+        if needed[first] > l_max:
             continue
         path.append(first)
-        used.add(first)
+        used[first] = True
         dfs(first)
-        used.remove(first)
+        used[first] = False
         path.pop()
 
     found.sort(key=lambda p: (len(p), p.factors))
@@ -162,8 +162,14 @@ def enumerate_irreducible_paths(
 ) -> list[IrreduciblePath]:
     """All irreducible factor paths from i to j with length <= l_max.
 
-    Exhaustive backtracking with distance pruning.  Graphs with more than 24
-    factors must pass an explicit l_max (results are then a truncation).
+    Exhaustive backtracking over factor paths, pruned at every extension:
+    a factor too far from j to finish within l_max is skipped, and the
+    connector slot shared with the new factor is matched to a node distinct
+    from those of the earlier slots by one augmenting-path (Kuhn) step,
+    undone on backtracking.  A prefix whose slots have no distinct
+    representatives cannot complete, so the pruning drops no path.  Graphs
+    with more than 24 factors must pass an explicit l_max (results are then
+    a truncation).
     """
     if i == j:
         raise SameNode(f"path endpoints coincide at node {i}")
@@ -223,14 +229,7 @@ class HMatrices:
 
 @lru_cache(maxsize=256)
 def h_matrices(g: FactorGraph | WeightedFactorGraph) -> HMatrices:
-    wg = as_weighted(g)
-    n = wg.n_nodes
-    h = np.zeros((n, n))
-    for f, w in zip(wg.factors, wg.weights):
-        for a_idx, a in enumerate(f.nodes):
-            for b in f.nodes[a_idx + 1:]:
-                h[a, b] += w
-                h[b, a] += w
+    h = as_weighted(g).h_sparse.toarray()
     h_tilde = h + np.diag(h.sum(axis=1))
     return HMatrices(
         h=h,
@@ -249,11 +248,21 @@ def corollary6_bound(
     cancellation and the entry keeps full relative accuracy even where
     it is exponentially small; an eigendecomposition would bury such
     entries under absolute reconstruction noise.
+
+    Each term is one product with the sparse h of the graph
+    (``WeightedFactorGraph.h_sparse``), so a term costs O(nnz(h)).  The
+    term vector u_l = (2|t|)^l h^l e_i / l! shrinks by at least the ratio
+    r = 2|t| max_row_sum(h) / (l + 1) per term in the max norm, so once
+    r < 1/2 the rest of the series adds at most max(u_l) / (1 - r) to the
+    entry.  The sum stops as soon as that tail is at most 1e-13 of the
+    total, at any length.  While the entry is still 0 the sum goes on; a
+    walk from i reaches every node of its component within n - 1 steps, so
+    an entry still 0 after n terms is returned as 0.0 (j is unreachable).
     """
-    hm = h_matrices(as_weighted(g))
-    n = hm.h.shape[0]
+    h = as_weighted(g).h_sparse
+    n = h.shape[0]
     x = 2.0 * abs(t)
-    row_norm = float(hm.h.sum(axis=1).max()) if n > 1 else 0.0
+    row_norm = float(h.sum(axis=1).max())
     u = np.zeros(n)
     u[i] = 1.0
     total = float(u[j])
@@ -261,18 +270,19 @@ def corollary6_bound(
     while True:
         length += 1
         with np.errstate(over="ignore", invalid="ignore"):
-            u = (x / length) * (hm.h @ u)
+            u = (x / length) * (h @ u)
         total += float(u[j])
         if not math.isfinite(total):
             # all terms are nonnegative, so any overflow means the entry
             # itself overflows (nan can only arise downstream of an inf)
             return math.inf
-        if length < n:
-            continue  # walks may not have reached j yet
+        top = float(u.max())
         if total == 0.0:
-            return 0.0  # j unreachable from i
+            if top == 0.0 or length >= n:
+                return 0.0  # every later term vanishes, or j is unreachable
+            continue
         ratio = x * row_norm / (length + 1)
-        if ratio < 0.5 and float(u.max()) / (1.0 - ratio) <= 1e-13 * total:
+        if ratio < 0.5 and top / (1.0 - ratio) <= 1e-13 * total:
             return total
 
 

@@ -267,7 +267,7 @@ class TestSqrtLogN:
 
     def test_large_n_finite_time_vanishes(self):
         assert sqrtlogn_bound(10**9, 2, 1.0, 1.0) == pytest.approx(
-            7.73318673427396e-09
+            7.73318673427396e-09, rel=1e-12, abs=0
         )
         with pytest.raises(InvalidParams):
             sqrtlogn_bound(10, 1, 1.0, 0.1)

@@ -52,6 +52,24 @@ class TestBuild:
         g = fg.build_graph(4, [(2, 3), (0, 1), ((0, 1), 1)])
         assert g.factors == tuple(sorted(g.factors))
 
+    def test_equal_graphs_hash_equal(self):
+        a = fg.build_graph(4, [(0, 1), (1, 2), ((2, 3), 1)])
+        b = fg.build_graph(4, [((2, 3), 1), (2, 1), (0, 1)])
+        assert a is not b and a == b and hash(a) == hash(b)
+        wa = fg.as_weighted(a, [0.5, 1.0, 2.0])
+        wb = fg.as_weighted(b, [0.5, 1.0, 2.0])
+        assert wa is not wb and wa == wb and hash(wa) == hash(wb)
+        assert wa != fg.as_weighted(a, [0.5, 1.0, 2.5])
+
+    def test_weight_of(self):
+        g = fg.build_graph(4, [(0, 1), (1, 2), ((1, 2), 1)])
+        wg = fg.as_weighted(g, [0.5, 1.0, 2.0])
+        assert [wg.weight_of(f) for f in g.factors] == [0.5, 1.0, 2.0]
+        with pytest.raises(NodeOutOfRange):
+            wg.weight_of(fg.Factor(nodes=(0, 2)))
+        with pytest.raises(NodeOutOfRange):
+            wg.weight_of(fg.Factor(nodes=(1, 2), flavor=2))
+
 
 class TestDistance:
     def test_chain_node_node(self):

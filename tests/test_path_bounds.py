@@ -1,9 +1,11 @@
 """Path enumeration and the bound family built on it."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import iv  # oracle for the hand-rolled Bessel series
@@ -22,6 +24,79 @@ from lightcone.errors import (
 
 def chain(n):
     return fg.standard_graph("chain", n)
+
+
+@st.composite
+def small_graphs(draw, max_factors=8):
+    """Connected graph on 3..6 nodes with at most ``max_factors`` factors.
+
+    Factor sizes are all 2, all 3 or mixed; some subsets repeat under a
+    second flavor.  A spanning set of factors keeps the graph connected.
+    """
+    n = draw(st.integers(min_value=3, max_value=6))
+    sizes = draw(st.sampled_from([(2,), (3,), (2, 3)]))
+
+    def subset_with(v, earlier):
+        size = draw(st.sampled_from(sizes))
+        others = [u for u in range(n) if u not in (v, earlier)]
+        rest = draw(st.permutations(others))[: size - 2]
+        return tuple(sorted((v, earlier, *rest)))
+
+    factors = {
+        (subset_with(v, draw(st.integers(0, v - 1))), 0) for v in range(1, n)
+    }
+    extra = draw(st.integers(0, max_factors - len(factors)))
+    for _ in range(extra):
+        if factors and draw(st.booleans()):
+            nodes, _ = draw(st.sampled_from(sorted(factors)))  # repeat a subset
+        else:
+            v = draw(st.integers(1, n - 1))
+            nodes = subset_with(v, draw(st.integers(0, v - 1)))
+        factors.add((nodes, draw(st.integers(0, 1))))
+    return fg.build_graph(n, sorted(factors))
+
+
+def _has_distinct_connectors(factors, i, j):
+    """System-of-distinct-representatives check for consecutive overlaps."""
+    slots = [
+        (a.node_set & b.node_set) - {i, j}
+        for a, b in zip(factors, factors[1:])
+    ]
+    owner = {}  # node -> slot currently using it
+
+    def assign(slot, taken):
+        for v in slots[slot]:
+            if v in taken:
+                continue
+            taken.add(v)
+            if v not in owner or assign(owner[v], taken):
+                owner[v] = slot
+                return True
+        return False
+
+    return all(assign(s, set()) for s in range(len(slots)))
+
+
+def brute_force_paths(g, i, j, l_max):
+    """Every distinct-factor sequence from i to j, checked once complete."""
+    found = []
+    for first in g.factors:
+        if i not in first:
+            continue
+        others = [f for f in g.factors if f != first]
+        for length in range(1, l_max + 1):
+            for rest in itertools.permutations(others, length - 1):
+                seq = (first, *rest)
+                if any(i in f for f in rest) or any(j in f for f in seq[:-1]):
+                    continue
+                if j not in seq[-1]:
+                    continue
+                if any(not a.node_set & b.node_set for a, b in zip(seq, seq[1:])):
+                    continue
+                if _has_distinct_connectors(seq, i, j):
+                    found.append(seq)
+    found.sort(key=lambda seq: (len(seq), seq))
+    return found
 
 
 class TestEnumerate:
@@ -67,6 +142,22 @@ class TestEnumerate:
                 for a, b in zip(p.factors, p.factors[1:])
             ]
             assert all(s for s in seqs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_matches_brute_force(self, g, data):
+        i, j = data.draw(st.permutations(range(g.n_nodes)))[:2]
+        l_max = data.draw(st.integers(1, len(g.factors)))
+        got = [p.factors for p in pb.enumerate_irreducible_paths(g, i, j, l_max)]
+        assert got == brute_force_paths(g, i, j, l_max)
+
+    def test_rematching_keeps_path(self):
+        # slots {1, 2} then {1}: the second slot takes node 1 only after the
+        # first is moved over to node 2
+        g = fg.build_graph(5, [(0, 1, 2), (1, 2, 3), (1, 4)])
+        got = [p.factors for p in pb.enumerate_irreducible_paths(g, 0, 4)]
+        assert got == brute_force_paths(g, 0, 4, 3)
+        assert [len(p) for p in got] == [2, 3]
 
     def test_explicit_lmax_needed_past_24_factors(self):
         with pytest.raises(InvalidParams):
@@ -134,7 +225,35 @@ class TestCorollary6:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_time_offdiag(self):
-        assert pb.corollary6_bound(chain(4), 0, 3, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert pb.corollary6_bound(chain(4), 0, 3, 0.0) == 0.0
+
+    def test_unreachable_zero(self):
+        g = fg.build_graph(5, [(0, 1), (1, 2), (3, 4)])
+        assert pb.corollary6_bound(g, 0, 4, 1.5) == 0.0
+        assert pb.corollary6_bound(g, 4, 1, 0.2) == 0.0
+
+    # scipy's expm (Pade with scaling and squaring) is itself good to about
+    # 1e-12 relative only up to 2|t| max_row_sum(h) ~ 2, and only relative
+    # to the largest entry of a row; against 40-digit mpmath the walk sum
+    # stays within 1e-14 well beyond that.  Hence the scaled time and the
+    # row-relative floor.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_graphs(),
+        st.floats(min_value=0.01, max_value=2.0),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    def test_matches_expm(self, base, scaled_t, seed):
+        rng = np.random.default_rng(seed)
+        g = fg.as_weighted(base, rng.uniform(0.2, 1.5, size=len(base.factors)))
+        h = pb.h_matrices(g).h
+        t = scaled_t / (2.0 * h.sum(axis=1).max())
+        want = scipy.linalg.expm(2.0 * t * h)
+        for i in range(g.n_nodes):
+            floor = 1e-15 * want[i].max()
+            for j in range(g.n_nodes):
+                got = pb.corollary6_bound(g, i, j, t)
+                assert got == pytest.approx(want[i, j], rel=1e-12, abs=floor)
 
     def test_dominates_theorem3(self):
         g = fg.standard_graph("complete_q_local", 5, 2)
