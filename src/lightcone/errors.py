@@ -141,7 +141,3 @@ class GenusOutOfRange(ConfigError):
 
 class BadQ(ConfigError):
     """Bound requires even q > 2."""
-
-
-class NeverReached(ComputeError):
-    """Threshold crossing not found in the scanned range."""

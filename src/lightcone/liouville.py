@@ -6,10 +6,16 @@ i^(m(m-1)/2) psi_{i1}..psi_{im} keyed by the ascending index tuple.  The
 Liouvillian L|O) = |i[H,O]) is real and antisymmetric, so e^(Lt) is a
 rotation of coefficient space.
 
-Two evolution paths: the dense path conjugates by e^(iHt) in Hilbert space
-(2^n, cheap next to 4^n) and re-expands; the Krylov path runs a Lanczos
-recurrence directly on the antisymmetric Liouvillian.  Coefficients below
-1e-15 are pruned with the discarded weight accumulated per vector.
+Two evolution paths.  The dense path works in Hilbert space (2^n, cheap
+next to 4^n): with H = V diag(lam) V^dag it forms B = V^dag A V once and
+A(t) = W B W^dag, W = V diag(e^(i lam t)), two matmuls per time point.
+``evolve_operator`` then re-expands A(t) into strings; ``c_ij_exact`` and
+``hatc_ij_exact`` read their norms off A(t) directly and never expand.
+Dense matrices of strings and Hamiltonians are built from Pauli bitmasks
+in one scatter (see ``pauli.pauli_sum_dense``).  The Krylov path runs a
+Lanczos recurrence directly on the antisymmetric Liouvillian in string
+space.  Coefficients below 1e-15 are pruned with the discarded weight
+accumulated per vector.
 """
 
 from __future__ import annotations
@@ -18,13 +24,14 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (
     BasisMismatch,
+    ComputeError,
     InvalidParams,
     KrylovNotConverged,
     OddQ,
@@ -37,7 +44,7 @@ from .majorana import (
     majorana_product,
     n_qubits_for,
 )
-from .pauli import PauliString, commutator_term, dense_to_pauli_tensor, pauli_dense
+from .pauli import PauliString, commutator_term, dense_to_pauli_tensor, pauli_sum_dense
 
 __all__ = [
     "PRUNE_THRESHOLD",
@@ -222,19 +229,19 @@ def liouvillian_apply(
 
 # -- dense path -------------------------------------------------------------
 
-def _dense_basis(kind: str, n: int, key) -> np.ndarray:
-    if kind == "pauli":
-        return pauli_dense(key)
-    sign, p = majorana_basis_to_pauli(n, tuple(key))
-    return sign * pauli_dense(p)
-
-
 def _dense_matrix(kind: str, n: int, entries: Iterable[tuple]) -> np.ndarray:
-    nq = n if kind == "pauli" else n_qubits_for(n)
-    out = np.zeros((2**nq, 2**nq), dtype=complex)
+    """sum c * basis(key) over (key, c) entries, as one Pauli-mask scatter."""
+    labels, coeffs = [], []
     for key, c in entries:
-        out += c * _dense_basis(kind, n, key)
-    return out
+        if kind == "pauli":
+            labels.append(key.labels)
+            coeffs.append(c)
+        else:
+            sign, p = majorana_basis_to_pauli(n, tuple(key))
+            labels.append(p.labels)
+            coeffs.append(sign * c)
+    nq = n if kind == "pauli" else n_qubits_for(n)
+    return pauli_sum_dense(nq, labels, coeffs)
 
 
 @lru_cache(maxsize=8)
@@ -255,9 +262,19 @@ def _pauli_to_majorana_map(n_majorana: int) -> dict:
     return out
 
 
-def _dense_evolve(
-    terms: tuple, o: OperatorVector, t: float
-) -> OperatorVector:
+def _dense_heisenberg(
+    terms: Sequence[HamiltonianTerm], o: OperatorVector
+) -> Callable[[float], np.ndarray]:
+    """t -> A(t) = e^(iHt) A e^(-iHt) as a dense Hilbert-space matrix.
+
+    With H = V diag(lam) V^dag, B = V^dag A V is formed once and each time
+    point costs two matmuls: A(t) = W B W^dag with W = V diag(e^(i lam t)).
+    Raises the dense path's size and basis errors before any work, and
+    ``ComputeError`` when A(t) has an anti-Hermitian part, i.e. when its
+    string coefficients would leave the real span.
+    """
+    if _terms_kind(terms) != o.kind:
+        raise BasisMismatch("Hamiltonian and operator bases differ")
     kind, n = o.kind, o.n
     if kind == "pauli" and n > _DENSE_QUBIT_CAP:
         raise TooLarge(f"dense path capped at {_DENSE_QUBIT_CAP} qubits")
@@ -266,15 +283,28 @@ def _dense_evolve(
             raise TooLarge(f"dense path capped at {_DENSE_MAJORANA_CAP} modes")
         if n % 2 != 0:
             raise InvalidParams("dense path needs an even mode count")
-    vals, vecs = _dense_eig(terms, kind, n)
-    A = _dense_matrix(kind, n, o.terms.items())
-    phases = np.exp(1j * vals * t)
-    U = (vecs * phases) @ vecs.conj().T
-    At = U @ A @ U.conj().T
-    tensor = dense_to_pauli_tensor(At)
-    imag_max = float(np.max(np.abs(tensor.imag))) if tensor.size else 0.0
-    assert imag_max < 1e-9, "evolved operator left the real span"
-    coeffs = tensor.real
+    vals, vecs = _dense_eig(tuple(terms), kind, n)
+    B = vecs.conj().T @ _dense_matrix(kind, n, o.terms.items()) @ vecs
+    root_dim = math.sqrt(vecs.shape[0])
+
+    def at(t: float) -> np.ndarray:
+        W = vecs * np.exp(1j * vals * t)
+        At = (W @ B) @ W.conj().T
+        # l2 norm of the imaginary parts of A(t)'s string coefficients
+        leak = float(np.linalg.norm(At - At.conj().T)) / (2.0 * root_dim)
+        if not leak < 1e-9:
+            raise ComputeError(
+                f"evolved operator left the real span (imaginary weight {leak:.2e})"
+            )
+        return At
+
+    return at
+
+
+def _dense_to_vector(At: np.ndarray, o: OperatorVector) -> OperatorVector:
+    """Expand a dense A(t) evolved from ``o`` back into ``o``'s string basis."""
+    kind, n = o.kind, o.n
+    coeffs = dense_to_pauli_tensor(At).real
     total_sq = float(np.sum(coeffs * coeffs))
     kept: dict = {}
     kept_sq = 0.0
@@ -371,7 +401,7 @@ def evolve_operator(
     if t == 0.0:
         return o.copy()
     if method == "dense":
-        return _dense_evolve(terms, o, t)
+        return _dense_to_vector(_dense_heisenberg(terms, o)(t), o)
     if method == "krylov":
         return _krylov_evolve(terms, o, t, tol, max_krylov)
     raise InvalidParams(f"unknown method {method!r}")

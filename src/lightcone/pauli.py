@@ -4,12 +4,22 @@ Strings are stored as per-site labels 0..3 = I, X, Y, Z.  Two strings
 either commute or anticommute; products carry a power of i tracked mod 4.
 The normalized trace inner product makes the strings an orthonormal basis,
 so operators live in a real coefficient space.
+
+Dense matrices come from bitmasks, not Kronecker products.  A string on n
+qubits is a pair of masks (x, z) plus its Y count n_Y, with bit n-1-k
+belonging to site k so that basis states are ordered as in ``np.kron``:
+
+    sigma |c> = i^(n_Y) (-1)^popcount(c & z) |c ^ x>
+
+so every string is a signed permutation of the 2^n basis states, and a
+weighted sum of strings is one scatter of (row, column, value) triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +29,7 @@ __all__ = [
     "strings_commute",
     "commutator_term",
     "pauli_dense",
+    "pauli_sum_dense",
     "dense_to_pauli_tensor",
 ]
 
@@ -113,11 +124,62 @@ def commutator_term(s1: PauliString, s2: PauliString) -> tuple[float, PauliStrin
     return coeff, s
 
 
+def _parity(v: np.ndarray) -> np.ndarray:
+    """popcount(v) mod 2 of non-negative int64 entries, by an xor fold."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return v & 1
+
+
+# i^k for k = 0..3
+_I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _string_actions(n: int, labels) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phase), each (K, 2^n): string k maps |c> to phase[k, c] |perm[k, c]>.
+
+    labels is a (K, n) array of 0..3; bit n-1-s of a basis index is site s.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    bits = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))
+    x = ((labels == 1) | (labels == 2)).astype(np.int64) @ bits
+    z = ((labels == 2) | (labels == 3)).astype(np.int64) @ bits
+    n_y = np.count_nonzero(labels == 2, axis=1)
+    cols = np.arange(2**n, dtype=np.int64)
+    sign = 1 - 2 * _parity(cols[None, :] & z[:, None])
+    return cols[None, :] ^ x[:, None], _I_POW[n_y % 4][:, None] * sign
+
+
+def _string_action(s: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phase) with s|c> = phase[c] |perm[c]>, perm[c] = c ^ x."""
+    perm, phase = _string_actions(s.n_sites, [s.labels])
+    return perm[0], phase[0]
+
+
+def pauli_sum_dense(
+    n: int, labels: Sequence[Sequence[int]], coeffs: Sequence[float]
+) -> np.ndarray:
+    """sum_k coeffs[k] * sigma(labels[k]) as a dense 2^n x 2^n matrix.
+
+    All terms are scattered at once: entry (c ^ x_k, c) of term k carries
+    coeffs[k] i^(n_Y) (-1)^popcount(c & z_k), and entries that land on the
+    same cell are added in term order.
+    """
+    dim = 2**n
+    coeffs = np.asarray(coeffs, dtype=float)
+    out = np.zeros(dim * dim, dtype=complex)
+    if coeffs.size == 0:
+        return out.reshape(dim, dim)
+    perm, phase = _string_actions(n, labels)
+    values = (coeffs[:, None] * phase).ravel()
+    flat = (perm * dim + np.arange(dim)).ravel()
+    out.real = np.bincount(flat, weights=values.real, minlength=dim * dim)
+    out.imag = np.bincount(flat, weights=values.imag, minlength=dim * dim)
+    return out.reshape(dim, dim)
+
+
 def pauli_dense(s: PauliString) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
-    for a in s.labels:
-        out = np.kron(out, _SIGMA[a])
-    return out
+    return pauli_sum_dense(s.n_sites, [s.labels], [1.0])
 
 
 @lru_cache(maxsize=1)

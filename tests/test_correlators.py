@@ -4,20 +4,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lightcone import liouville
 from lightcone.correlators import (
     c_ij_exact,
     hatc_ij_exact,
     projected_weight,
     projector_apply,
 )
-from lightcone.errors import BadInitialOperator, BasisMismatch, InvalidParams
+from lightcone.errors import (
+    BadInitialOperator,
+    BasisMismatch,
+    ComputeError,
+    InvalidParams,
+    TooLarge,
+)
 from lightcone.factor_graph import Factor, as_weighted, build_graph
 from lightcone.liouville import (
     build_syk_hamiltonian,
     evolve_operator,
+    inner,
     majorana_mode,
     operator_vector,
+    pauli_commutator,
     single_site_pauli,
     spin_term,
 )
@@ -200,3 +211,193 @@ class TestHatC:
                 assert lo - 1e-8 <= cv <= hi + 1e-8
                 checked += 1
         assert checked >= 1000
+
+
+# -- Hilbert-space route against the string route ----------------------------
+
+def string_route_c(terms, j, a, times):
+    denom = inner(a, a)
+    return [
+        math.sqrt(projected_weight(evolve_operator(terms, a, t, method="dense"), j) / denom)
+        for t in times
+    ]
+
+
+def string_route_hatc(terms, j, a, times):
+    denom = 4.0 * inner(a, a)
+    probes = [single_site_pauli(a.n, j, lab) for lab in "XYZ"]
+    out = []
+    for t in times:
+        comms = [pauli_commutator(evolve_operator(terms, a, t, method="dense"), p) for p in probes]
+        gram = np.array([[inner(x, y) / denom for y in comms] for x in comms])
+        out.append(math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
+    return out
+
+
+def assert_close(got, want):
+    for g, w in zip(got, want):
+        assert abs(g - w) <= max(1e-15, 1e-12 * abs(w)), (got, want)
+
+
+class TestHilbertRoute:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=10_000),
+        st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=1, max_size=3, unique=True),
+    )
+    def test_pauli_matches_string_route(self, n, seed, times):
+        rng = np.random.default_rng(seed)
+        terms = []
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rng.random() < 0.5:
+                    labels = "".join(rng.choice(list("XYZ"), 2))
+                    terms.append(spin_term(n, (a, b), labels, rng.normal(), flavor=len(terms)))
+            if rng.random() < 0.5:
+                terms.append(spin_term(n, (a,), str(rng.choice(list("XYZ"))), rng.normal()))
+        if not terms:
+            terms.append(spin_term(n, (0,), "X", 1.0))
+        i = int(rng.integers(n))
+        a = single_site_pauli(n, i, str(rng.choice(list("XYZ"))))
+        times = (0.0, *sorted(times))
+        for j in range(n):
+            assert_close(c_ij_exact(terms, i, j, a, times).values, string_route_c(terms, j, a, times))
+            assert_close(hatc_ij_exact(terms, i, j, a, times).values, string_route_hatc(terms, j, a, times))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([2, 4]),
+        st.sampled_from([4, 6, 8, 10]),
+        st.integers(min_value=0, max_value=10_000),
+        st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=1, max_size=3, unique=True),
+    )
+    def test_syk_matches_string_route(self, q, n, seed, times):
+        h = build_syk_hamiltonian(n, q, seed=seed)
+        i = 1 + seed % n
+        a = majorana_mode(n, i)
+        times = (0.0, *sorted(times))
+        for j in range(1, n + 1):
+            assert_close(c_ij_exact(h, i, j, a, times).values, string_route_c(h, j, a, times))
+
+    def test_conserved_operator_reads_exact_zero(self):
+        # Z_0 commutes with every term, so C_0j vanishes exactly off site 0;
+        # the eigensolver leaves ~1e-15 in A(t), which must not show
+        n = 5
+        rng = np.random.default_rng(11)
+        terms = [spin_term(n, (0, 1), "ZZ", 0.7), spin_term(n, (0,), "Z", -0.4)]
+        terms += [spin_term(n, (k, k + 1), "XY", rng.normal()) for k in range(1, n - 1)]
+        terms += [spin_term(n, (k,), "X", rng.normal()) for k in range(1, n)]
+        a = single_site_pauli(n, 0, "Z")
+        for j in range(1, n):
+            assert c_ij_exact(terms, 0, j, a, (0.5, 1.5)).values == (0.0, 0.0)
+            assert hatc_ij_exact(terms, 0, j, a, (0.5, 1.5)).values == (0.0, 0.0)
+
+    def test_reruns_bit_identical(self):
+        h = build_syk_hamiltonian(8, 4, seed=3)
+        a = majorana_mode(8, 1)
+        ts = (0.0, 0.3, 0.9)
+        assert c_ij_exact(h, 1, 8, a, ts).values == c_ij_exact(h, 1, 8, a, ts).values
+
+
+class TestErrorContract:
+    def test_site_out_of_range(self):
+        h = ring_terms(3, np.random.default_rng(12))
+        a = single_site_pauli(3, 0, "X")
+        for j in (-1, 3):
+            for times in ((0.0,), (0.5,)):
+                with pytest.raises(InvalidParams):
+                    c_ij_exact(h, 0, j, a, times)
+                with pytest.raises(InvalidParams):
+                    hatc_ij_exact(h, 0, j, a, times)
+        syk = build_syk_hamiltonian(4, 2, seed=1)
+        for j in (0, 5):
+            with pytest.raises(InvalidParams):
+                c_ij_exact(syk, 1, j, majorana_mode(4, 1), (0.5,))
+
+    def test_odd_mode_count(self):
+        h = build_syk_hamiltonian(5, 2, seed=2)
+        with pytest.raises(InvalidParams):
+            c_ij_exact(h, 1, 3, majorana_mode(5, 1), (0.0, 0.5))
+
+    def test_size_caps(self):
+        n = 11
+        h = [spin_term(n, (0, 1), "XX", 1.0)]
+        a = single_site_pauli(n, 0, "X")
+        with pytest.raises(TooLarge):
+            c_ij_exact(h, 0, 1, a, (0.5,))
+        with pytest.raises(TooLarge):
+            hatc_ij_exact(h, 0, 1, a, (0.5,))
+        big = build_syk_hamiltonian(18, 2, seed=0)
+        with pytest.raises(TooLarge):
+            c_ij_exact(big, 1, 2, majorana_mode(18, 1), (0.5,))
+
+    def test_basis_mismatch(self):
+        h = ring_terms(4, np.random.default_rng(13))
+        with pytest.raises(BasisMismatch):
+            c_ij_exact(h, 1, 2, majorana_mode(4, 1), (0.5,))
+        with pytest.raises(BasisMismatch):
+            c_ij_exact(h, 1, 2, majorana_mode(4, 1), (0.0,))
+
+    def test_time_zero_grid_needs_no_dense_path(self):
+        # at t = 0 A(0) = A exactly: no size cap, no even-mode rule, and the
+        # values are exactly 0 off site i and 1 on it
+        n = 11
+        h = [spin_term(n, (0, 1), "XX", 1.0)]
+        a = single_site_pauli(n, 0, "Z")
+        assert c_ij_exact(h, 0, 1, a, (0.0,)).values == (0.0,)
+        assert c_ij_exact(h, 0, 0, a, (0.0,)).values == (1.0,)
+        assert hatc_ij_exact(h, 0, 1, a, (0.0,)).values == (0.0,)
+        odd = build_syk_hamiltonian(5, 2, seed=2)
+        assert c_ij_exact(odd, 1, 3, majorana_mode(5, 1), (0.0,)).values == (0.0,)
+        assert c_ij_exact(odd, 1, 1, majorana_mode(5, 1), (0.0,)).values == (1.0,)
+
+
+@pytest.fixture
+def fresh_eig_cache():
+    # eigenpairs computed under a patch must not leak into other tests
+    cached = liouville._dense_eig
+    cached.cache_clear()
+    yield
+    cached.cache_clear()
+
+
+class TestTypedGuards:
+    """Result guards raise ComputeError (CLI exit 3), and survive python -O."""
+
+    def non_unitary_basis(self, monkeypatch):
+        real = liouville._dense_eig
+
+        def doubled(terms, kind, n):
+            vals, vecs = real(terms, kind, n)
+            return vals, 2.0 * vecs
+
+        monkeypatch.setattr(liouville, "_dense_eig", doubled)
+
+    def test_c_escapes_unit_interval(self, monkeypatch, fresh_eig_cache):
+        self.non_unitary_basis(monkeypatch)
+        h = ring_terms(3, np.random.default_rng(14))
+        with pytest.raises(ComputeError, match="escaped"):
+            c_ij_exact(h, 0, 0, single_site_pauli(3, 0, "X"), (0.5,))
+
+    def test_hatc_escapes_unit_interval(self, monkeypatch, fresh_eig_cache):
+        self.non_unitary_basis(monkeypatch)
+        h = ring_terms(3, np.random.default_rng(15))
+        with pytest.raises(ComputeError, match="escaped"):
+            hatc_ij_exact(h, 0, 0, single_site_pauli(3, 0, "X"), (0.5,))
+
+    def test_imaginary_leak(self, monkeypatch, fresh_eig_cache):
+        # a non-Hermitian operator matrix gives A(t) an anti-Hermitian part
+        real = liouville._dense_matrix
+        monkeypatch.setattr(
+            liouville, "_dense_matrix",
+            lambda kind, n, entries: real(kind, n, entries) * (1.0 + 1e-3j),
+        )
+        h = ring_terms(3, np.random.default_rng(16))
+        a = single_site_pauli(3, 0, "X")
+        with pytest.raises(ComputeError, match="real span"):
+            c_ij_exact(h, 0, 2, a, (0.5,))
+        with pytest.raises(ComputeError, match="real span"):
+            hatc_ij_exact(h, 0, 2, a, (0.5,))
+        with pytest.raises(ComputeError, match="real span"):
+            evolve_operator(h, a, 0.5, method="dense")
