@@ -3,7 +3,31 @@
 Public surface is re-exported from the submodules; see README for a map.
 """
 
-from ._version import __version__
+import os as _os
+
+
+def _export_thread_cap() -> int | None:
+    """Copy a valid LIGHTCONE_THREADS into the BLAS/OpenMP pool variables.
+
+    Runs on import, before any submodule imports numpy: the pools read
+    these variables once, when their library loads.  Variables already set
+    win.  Returns the cap, or None when it is unset or not a positive
+    integer; the CLI rejects such a value with exit code 2.
+    """
+    try:
+        cap = int(_os.environ["LIGHTCONE_THREADS"])
+    except (KeyError, ValueError):
+        return None
+    if cap < 1:
+        return None
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(var, str(cap))
+    return cap
+
+
+_export_thread_cap()
+
+from ._version import __version__  # noqa: E402
 from .causal_pairs import (
     CausalTreePair,
     OrderingCounts,

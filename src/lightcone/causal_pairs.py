@@ -8,6 +8,12 @@ target j, and both readings to creep.  Orderings psi of a tree pair carry
 each factor exactly twice and keep the marker strictly inside the window
 of j-occurrences (outside it the projected term vanishes).
 
+Such doubled words come from one walk that checks both readings as it
+places letters: a first occurrence must hold i or meet a factor already
+started, a second (and last) one must hold i or meet a factor still to
+come.  The ordering enumeration, the pair series and random pair sampling
+all draw their words from it.
+
 Pairs reduce: a proper nonempty factor subset that is ancestor-closed in
 both trees and contains a j-factor spans a smaller pair realized by its
 own word; repeated reduction reaches an irreducible pair.  The union of
@@ -28,7 +34,7 @@ import numpy as np
 from .causal_trees import (
     CausalForest,
     FactorSequence,
-    attach_decision,
+    _check_factors,
     build_causal_forest,
     forbidden_vertices_single,
     irreducible_path_of_tree,
@@ -42,7 +48,6 @@ from .errors import (
     SameNode,
     TargetAbsent,
     TooLarge,
-    UnknownFactor,
     UnrepeatedFactor,
 )
 from .factor_graph import Factor, FactorGraph, WeightedFactorGraph
@@ -103,10 +108,7 @@ def build_causal_tree_pair(
     target appears, both reading directions creep.
     """
     base = _base(g)
-    known = set(base.factors)
-    for f in seq.factors:
-        if f not in known:
-            raise UnknownFactor(f"factor {f.nodes} flavor {f.flavor} not in graph")
+    _check_factors(base, seq.factors)
     if seq.target is None:
         raise TargetAbsent("two-sided sequence needs a target node")
     word = seq.factors
@@ -120,15 +122,33 @@ def build_causal_tree_pair(
             )
     if not any(seq.target in f for f in word):
         raise TargetAbsent(f"target {seq.target} in no factor of the word")
-    fwd = build_causal_forest(base, FactorSequence(root=seq.root, factors=word))
+    bwd, fwd = _readings(base, seq.root, word)
     if not fwd.is_tree:
         raise NotCreeping("forward reading is not creeping")
-    bwd = build_causal_forest(
-        base, FactorSequence(root=seq.root, factors=tuple(reversed(word)))
-    )
     if not bwd.is_tree:
         raise NotCreeping("backward reading is not creeping")
     return CausalTreePair(left=bwd, right=fwd, root=seq.root, target=seq.target)
+
+
+def _readings(
+    base: FactorGraph, i: int, word: tuple[Factor, ...]
+) -> tuple[CausalForest, CausalForest]:
+    """(backward, forward) causal forests of a word read from node i."""
+    fwd = build_causal_forest(base, FactorSequence(root=i, factors=word))
+    bwd = build_causal_forest(base, FactorSequence(root=i, factors=word[::-1]))
+    return bwd, fwd
+
+
+def _first_last(
+    word: Sequence[Factor], start: int = 0
+) -> tuple[dict[Factor, int], dict[Factor, int]]:
+    """First and last position of each factor, counting from ``start``."""
+    first: dict[Factor, int] = {}
+    last: dict[Factor, int] = {}
+    for p, f in enumerate(word, start=start):
+        first.setdefault(f, p)
+        last[f] = p
+    return first, last
 
 
 # -- reduction --------------------------------------------------------------
@@ -336,58 +356,59 @@ def causal_graph_props(
 
 # -- word enumeration -------------------------------------------------------
 
-def _double_words(factors: Sequence[Factor], i: int) -> Iterator[tuple[Factor, ...]]:
-    """Words using each factor exactly twice, forward reading creeping.
+def _creeping_double_words(
+    factors: Sequence[Factor], i: int
+) -> Iterator[tuple[Factor, ...]]:
+    """Words using each factor exactly twice whose two readings creep.
 
-    Backtracking with the component-growth invariant: a factor landing
-    outside the root component can never rejoin it, so such prefixes are
-    pruned immediately.
+    Letters are placed left to right over the sorted pool, so words come
+    out in lexicographic order of pool index.  A reading creeps iff no
+    factor gets the "isolated" outcome of ``attach_decision`` at its first
+    occurrence in that reading, and that outcome depends only on the
+    factors read before it:
+
+    - forward, a factor is first read at its first occurrence, after the
+      factors already started; it is not isolated iff it holds i or meets
+      one of them;
+    - backward, a factor is first read at its last occurrence (its second
+      here), after the factors with a letter still to come; it is not
+      isolated iff it holds i or meets one of them.
+
+    Both tests are decided when the letter is placed, so failing prefixes
+    are pruned at once, and the words yielded are exactly those whose
+    ``build_causal_forest`` is a tree on both readings.
     """
     pool = sorted(factors)
+    masks = [sum(1 << v for v in f.nodes) for f in pool]
+    holds_i = [i in f for f in pool]
     n = 2 * len(pool)
-    remaining = {f: 2 for f in pool}
-    word: list[Factor] = []
-    reachable: set[Factor] = set()
+    remaining = [2] * len(pool)
+    word: list[int] = []
 
-    def step() -> Iterator[tuple[Factor, ...]]:
+    def step(started: int) -> Iterator[tuple[Factor, ...]]:
         if len(word) == n:
-            yield tuple(word)
+            yield tuple(pool[k] for k in word)
             return
-        for f in pool:
-            if remaining[f] == 0:
+        for k, left in enumerate(remaining):
+            if left == 0:
                 continue
-            first_time = remaining[f] == 2
-            if first_time:
-                kind, where = attach_decision(word, f, i)
-                if kind == "factor":
-                    if word[where] not in reachable:
-                        continue
-                elif kind != "root":
+            if left == 2:
+                if not (holds_i[k] or masks[k] & started):
                     continue
-                reachable.add(f)
-            remaining[f] -= 1
-            word.append(f)
-            yield from step()
+            elif not holds_i[k]:
+                to_come = 0
+                for m, r in enumerate(remaining):
+                    if r and m != k:
+                        to_come |= masks[m]
+                if not masks[k] & to_come:
+                    continue
+            remaining[k] = left - 1
+            word.append(k)
+            yield from step(started | masks[k])
             word.pop()
-            remaining[f] += 1
-            if first_time:
-                reachable.discard(f)
+            remaining[k] = left
 
-    yield from step()
-
-
-def _backward_creeping(word: Sequence[Factor], i: int) -> bool:
-    seen: list[Factor] = []
-    reachable: set[Factor] = set()
-    for f in reversed(word):
-        if f not in reachable:
-            kind, where = attach_decision(seen, f, i)
-            if kind == "root" or (kind == "factor" and seen[where] in reachable):
-                reachable.add(f)
-            elif kind != "repeat":
-                return False
-        seen.append(f)
-    return True
+    yield from step(0)
 
 
 def _j_window(word: Sequence[Factor], j: int) -> tuple[int, int] | None:
@@ -415,13 +436,8 @@ def enumerate_psi(
     want = pair.signature()
     i, j = pair.root, pair.target
     out: list[FactorSequence] = []
-    for word in _double_words(sorted(pair.factors), i):
-        if not _backward_creeping(word, i):
-            continue
-        fwd = build_causal_forest(base, FactorSequence(root=i, factors=word))
-        bwd = build_causal_forest(
-            base, FactorSequence(root=i, factors=tuple(reversed(word)))
-        )
+    for word in _creeping_double_words(pair.factors, i):
+        bwd, fwd = _readings(base, i, word)
         if (bwd.signature(), fwd.signature()) != want:
             continue
         window = _j_window(word, j)
@@ -457,7 +473,8 @@ def count_orderings(
 ) -> OrderingCounts:
     """Brute-force N(Q_L), N(Q_R) and the marked-word count.
 
-    Asserts the packing inequality |Psi| <= (2l)!/(l!)^2 N(Q_L) N(Q_R).
+    Checks the packing inequality |Psi| <= (2l)!/(l!)^2 N(Q_L) N(Q_R) and
+    raises ComputeError if it fails.
     """
     if len(pair.factors) > _PAIR_CAP:
         raise TooLarge(f"ordering counts capped at {_PAIR_CAP} factors")
@@ -467,7 +484,8 @@ def count_orderings(
     n_psi = len(enumerate_psi(pair, base))
     ell = len(pair.factors)
     cap = math.comb(2 * ell, ell) * n_left * n_right
-    assert n_psi <= cap, f"packing inequality violated: {n_psi} > {cap}"
+    if n_psi > cap:
+        raise ComputeError(f"packing inequality violated: {n_psi} > {cap}")
     return OrderingCounts(n_left=n_left, n_right=n_right, n_psi=n_psi)
 
 
@@ -484,10 +502,9 @@ class ForbiddenSets:
 def _validate_psi(base: FactorGraph, psi: FactorSequence) -> None:
     if psi.target is None or psi.marker is None:
         raise InvalidOrdering("ordering needs target and marker")
+    _check_factors(base, psi.factors)
     counts: dict[Factor, int] = {}
     for f in psi.factors:
-        if f not in base.factors:
-            raise UnknownFactor(f"factor {f.nodes} flavor {f.flavor} not in graph")
         counts[f] = counts.get(f, 0) + 1
     if any(c != 2 for c in counts.values()):
         raise InvalidOrdering("ordering must use each factor exactly twice")
@@ -498,10 +515,7 @@ def _validate_psi(base: FactorGraph, psi: FactorSequence) -> None:
         raise InvalidOrdering(
             f"marker {psi.marker} outside window [{window[0]}, {window[1]})"
         )
-    fwd = build_causal_forest(base, FactorSequence(root=psi.root, factors=psi.factors))
-    bwd = build_causal_forest(
-        base, FactorSequence(root=psi.root, factors=tuple(reversed(psi.factors)))
-    )
+    bwd, fwd = _readings(base, psi.root, psi.factors)
     if not (fwd.is_tree and bwd.is_tree):
         raise InvalidOrdering("both readings must be creeping")
 
@@ -527,11 +541,7 @@ def forbidden_sets_pair(
     word = psi.factors
     i, j = psi.root, psi.target
     n = len(word)
-    first: dict[Factor, int] = {}
-    last: dict[Factor, int] = {}
-    for p, f in enumerate(word, start=1):
-        first.setdefault(f, p)
-        last[f] = p
+    first, last = _first_last(word, start=1)
     minj, maxj = _j_window(word, j)
 
     if variant == "standard":
@@ -596,10 +606,7 @@ def _v_primed(
     maxj: int,
 ) -> tuple[frozenset[int], ...]:
     n = len(word)
-    fwd = build_causal_forest(base, FactorSequence(root=i, factors=word))
-    bwd = build_causal_forest(
-        base, FactorSequence(root=i, factors=tuple(reversed(word)))
-    )
+    bwd, fwd = _readings(base, i, word)
     gamma_r = irreducible_path_of_tree(fwd, j)
     gamma_l = irreducible_path_of_tree(bwd, j)
     # first appearances increase along the right path, last appearances
@@ -629,11 +636,7 @@ def _canonical_slots(word: Sequence[Factor]) -> dict[int, int]:
     The skeleton keeps each factor's first and last occurrence; a middle
     occurrence's slot is the number of skeleton positions before it.
     """
-    first: dict[Factor, int] = {}
-    last: dict[Factor, int] = {}
-    for p, f in enumerate(word):
-        first.setdefault(f, p)
-        last[f] = p
+    first, last = _first_last(word)
     skeleton = [p for p, f in enumerate(word) if p == first[f] or p == last[f]]
     slots: dict[int, int] = {}
     for p, f in enumerate(word):
@@ -659,30 +662,17 @@ def insertion_consistency_check(
     sets = forbidden_sets_pair(base, psi, variant=variant)
     word = psi.factors
     i = psi.root
-    fwd_sig = build_causal_forest(
-        base, FactorSequence(root=i, factors=word)
-    ).signature()
-    bwd_sig = build_causal_forest(
-        base, FactorSequence(root=i, factors=tuple(reversed(word)))
-    ).signature()
+    bwd, fwd = _readings(base, i, word)
+    want = (bwd.signature(), fwd.signature())
     for k, ys in enumerate(sets.y_sets):
         for y in ys:
             new = word[:k] + (y,) + word[k:]
-            nf = build_causal_forest(base, FactorSequence(root=i, factors=new))
-            if not nf.is_tree:
+            nb, nf = _readings(base, i, new)
+            if not (nf.is_tree and nb.is_tree):
                 continue
-            nb = build_causal_forest(
-                base, FactorSequence(root=i, factors=tuple(reversed(new)))
-            )
-            if not nb.is_tree:
+            if (nb.signature(), nf.signature()) != want:
                 continue
-            if nf.signature() != fwd_sig or nb.signature() != bwd_sig:
-                continue
-            first: dict[Factor, int] = {}
-            last: dict[Factor, int] = {}
-            for p, f in enumerate(new):
-                first.setdefault(f, p)
-                last[f] = p
+            first, last = _first_last(new)
             skeleton = tuple(
                 f for p, f in enumerate(new) if p == first[f] or p == last[f]
             )
@@ -720,15 +710,8 @@ def _pair_coefficients(
                 weight *= (2.0 * g.weight_of(f)) ** 2
             n = 2 * size
             subtotal = 0.0
-            for word in _double_words(combo, i):
-                if not _backward_creeping(word, i):
-                    continue
-                fwd = build_causal_forest(
-                    base, FactorSequence(root=i, factors=word)
-                )
-                bwd = build_causal_forest(
-                    base, FactorSequence(root=i, factors=tuple(reversed(word)))
-                )
+            for word in _creeping_double_words(combo, i):
+                bwd, fwd = _readings(base, i, word)
                 sig = (bwd.signature(), fwd.signature())
                 irr = irr_cache.get(sig)
                 if irr is None:
@@ -840,7 +823,7 @@ def random_irreducible_pair(
         )
         if not any(i in f for f in subset) or not any(j in f for f in subset):
             continue
-        words = [w for w in _double_words(subset, i) if _backward_creeping(w, i)]
+        words = list(_creeping_double_words(subset, i))
         if not words:
             continue
         word = words[int(rng.integers(0, len(words)))]

@@ -21,6 +21,7 @@ import scipy.integrate
 import scipy.linalg
 
 from .errors import (
+    ComputeError,
     IndexOutOfRange,
     InvalidParams,
     TargetAbsent,
@@ -148,12 +149,17 @@ class CausalForest:
         return d
 
 
-def _check_sequence(g: FactorGraph | WeightedFactorGraph, seq: FactorSequence) -> FactorGraph:
-    base = g.graph if isinstance(g, WeightedFactorGraph) else g
-    known = set(base.factors)
-    for f in seq.factors:
+def _check_factors(base: FactorGraph, factors: Iterable[Factor]) -> None:
+    """Raise UnknownFactor for the first factor missing from the graph."""
+    known = base._factor_positions
+    for f in factors:
         if f not in known:
             raise UnknownFactor(f"factor {f.nodes} flavor {f.flavor} not in graph")
+
+
+def _check_sequence(g: FactorGraph | WeightedFactorGraph, seq: FactorSequence) -> FactorGraph:
+    base = g.graph if isinstance(g, WeightedFactorGraph) else g
+    _check_factors(base, seq.factors)
     if not 0 <= seq.root < base.n_nodes:
         raise UnknownFactor(f"root node {seq.root} outside graph")
     return base
@@ -251,8 +257,8 @@ def lemma4_bijection_check(
     ``path``.  Right side: interleavings X_1..X_l with slot k (before
     X_{k+1}) filled from factors avoiding the slot's forbidden vertices and
     the final slot unrestricted, filtered to creeping terms (the others
-    vanish).  The slotted form generates each sequence at most once; that
-    uniqueness is asserted.
+    vanish).  The slotted form generates each sequence at most once; a
+    duplicate raises ComputeError.
     """
     base = g.graph if isinstance(g, WeightedFactorGraph) else g
     if len(base.factors) > 6 or n_max > 6:
@@ -297,7 +303,7 @@ def lemma4_bijection_check(
                         count += 1
                         rhs.add(tseq)
         if len(rhs) != count:
-            raise AssertionError("slotted decomposition generated a duplicate")
+            raise ComputeError("slotted decomposition generated a duplicate")
         if lhs != rhs:
             return False
     return True

@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from . import _export_thread_cap
 from ._version import __version__
 from .correlators import c_ij_exact
 from .curves import BoundCurve, evaluate_curve, write_curves_csv
@@ -62,14 +63,9 @@ def _apply_thread_cap() -> int | None:
     raw = os.environ.get("LIGHTCONE_THREADS")
     if raw is None:
         return None
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"LIGHTCONE_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigError(f"LIGHTCONE_THREADS must be >= 1, got {cap}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(cap))
+    cap = _export_thread_cap()
+    if cap is None:
+        raise ConfigError(f"LIGHTCONE_THREADS must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -426,7 +422,7 @@ def _check_combinatorics() -> list[str]:
                 nbl(b, ell, "bruteforce") == nbl(b, ell, "generating_function"),
                 f"attachment-count mismatch at b={b}, l={ell}",
             )
-    done.append("attachment counts: series vs brute force")
+    done.append("attachment counts: Eulerian recurrence vs brute force")
 
     pair, g = random_irreducible_pair(6, seed=0)
     counts = count_orderings(pair, g)

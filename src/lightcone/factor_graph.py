@@ -21,6 +21,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import (
+    ComputeError,
     Disconnected,
     DuplicateFactor,
     EmptyFactor,
@@ -397,7 +398,7 @@ def regularity_check(g: FactorGraph | WeightedFactorGraph) -> RegularityReport:
     """All node degrees equal and all factor sizes equal?
 
     When regular, q|F| = kN holds automatically (both sides count edges);
-    asserted here as a self-check.
+    a mismatch raises ComputeError.
     """
     if isinstance(g, WeightedFactorGraph):
         g = g.graph
@@ -409,7 +410,8 @@ def regularity_check(g: FactorGraph | WeightedFactorGraph) -> RegularityReport:
         return RegularityReport(is_regular=False)
     (k,) = degrees
     (q,) = sizes
-    assert q * len(g.factors) == k * g.n_nodes  # edge double count
+    if q * len(g.factors) != k * g.n_nodes:
+        raise ComputeError("edge double count q|F| != kN")
     return RegularityReport(is_regular=True, k=k, q=q)
 
 

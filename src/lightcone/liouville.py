@@ -154,7 +154,8 @@ def _string_comm(kind: str, n: int, s1, s2):
     e = (m1 * (m1 - 1) // 2 + m2 * (m2 - 1) // 2 - mu * (mu - 1) // 2) % 4
     # anticommuting Hermitian elements: the product phase is odd, the
     # commutator coefficient 2 i^(e+1) is real
-    assert e % 2 == 1
+    if e % 2 != 1:
+        raise ComputeError("anticommuting basis elements gave an even phase")
     coeff = 2.0 * raw.sign * (1.0 if (e + 1) % 4 == 0 else -1.0)
     return coeff, raw.indices
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SizeMismatch
+from .errors import ComputeError, SizeMismatch
 from .pauli import PauliString, pauli_dense, string_product
 
 __all__ = [
@@ -100,7 +100,8 @@ def majorana_basis_to_pauli(
     for k in indices:
         p, s = string_product(s, jw_pauli_of_mode(n_majorana, k))
         phase = (phase + p) % 4
-    assert phase in (0, 2), "basis element must be Hermitian"
+    if phase not in (0, 2):
+        raise ComputeError("basis element must be Hermitian")
     return (1.0 if phase == 0 else -1.0), s
 
 

@@ -7,27 +7,27 @@ canonical rooted encoding (arrival index plus sorted child encodings); the
 branch number b is the count of degree-1 vertices other than i, i.e. the
 childless factors.
 
-The same counts fall out of the closed-form generating function
+The same counts are the Eulerian numbers A(l, b-1), the coefficients of
+x^b t^l / l! in the closed-form generating function
 
-    A(t, x) = (x e^t - x e^{tx}) / (e^{tx} - x e^t)
+    A(t, x) = (x e^t - x e^{tx}) / (e^{tx} - x e^t).
 
-whose x^b t^l / l! coefficient is the census entry; the series route is
-evaluated with exact rationals so the cross-check is integer-exact.
+``nbl`` computes them in exact integers from that function's coefficient
+recurrence, and the brute-force census stays as the independent
+cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import InvalidParams, TooLarge
+from .errors import ComputeError, InvalidParams, TooLarge
 
 __all__ = ["nbl", "branch_census"]
 
 _BRUTE_CAP = 5
-_SERIES_CAP = 12
 
 
 @lru_cache(maxsize=None)
@@ -55,64 +55,27 @@ def branch_census(ell: int) -> dict[int, int]:
         seen.add(key)
         b = sum(1 for k in range(ell) if not children[k])
         census[b] = census.get(b, 0) + 1
-    assert sum(census.values()) == math.factorial(ell)
+    if sum(census.values()) != math.factorial(ell):
+        raise ComputeError(f"census of l = {ell} does not total l!")
     return dict(sorted(census.items()))
 
 
 @lru_cache(maxsize=None)
-def _series_coefficients(order: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Taylor table A[l][b] of the branch generating function.
+def _eulerian_row(ell: int) -> tuple[int, ...]:
+    """A(l, m) for m = 0..l-1, by A(n, m) = (n-m) A(n-1, m-1) + (m+1) A(n-1, m).
 
-    Bivariate series in (t, x), truncated at degree ``order`` in each;
-    the denominator's t^0 part is 1 - x, inverted as a geometric series in
-    x, then standard power-series division in t.
+    The generating function's rows A_n(x) = sum_m A(n, m) x^m obey
+    A_n(x) = (1 + (n-1)x) A_{n-1}(x) + x(1-x) A_{n-1}'(x); reading off the
+    x^m coefficient gives the recurrence.
     """
-    L = order
-
-    def zero() -> list[Fraction]:
-        return [Fraction(0)] * (L + 1)
-
-    def xmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        out = zero()
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(L + 1 - i):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return out
-
-    num = [zero() for _ in range(L + 1)]
-    den = [zero() for _ in range(L + 1)]
-    for n in range(L + 1):
-        inv = Fraction(1, math.factorial(n))
-        # numerator: x e^t - x e^{tx}
-        if 1 <= L:
-            num[n][1] += inv
-        if n + 1 <= L:
-            num[n][n + 1] -= inv
-        # denominator: e^{tx} - x e^t
-        if n <= L:
-            den[n][n] += inv
-        if 1 <= L:
-            den[n][1] -= inv
-    inv0 = [Fraction(1)] * (L + 1)  # 1/(1-x) truncated
-    coeffs: list[list[Fraction]] = []
-    for n in range(L + 1):
-        acc = list(num[n])
-        for k in range(1, n + 1):
-            prod_k = xmul(den[k], coeffs[n - k])
-            for b in range(L + 1):
-                acc[b] -= prod_k[b]
-        coeffs.append(xmul(inv0, acc))
-    return tuple(tuple(row) for row in coeffs)
-
-
-def _nbl_series(b: int, ell: int) -> int:
-    table = _series_coefficients(_SERIES_CAP)
-    value = table[ell][b] * math.factorial(ell)
-    assert value.denominator == 1
-    return int(value)
+    row = [1]  # A(0, 0)
+    for n in range(1, ell + 1):
+        row = [
+            (n - m) * (row[m - 1] if m else 0)
+            + (m + 1) * (row[m] if m < len(row) else 0)
+            for m in range(n)
+        ]
+    return tuple(row)
 
 
 def nbl(b: int, ell: int, method: str = "generating_function") -> int:
@@ -135,7 +98,5 @@ def nbl(b: int, ell: int, method: str = "generating_function") -> int:
     if method == "bruteforce":
         return branch_census(ell).get(b, 0)
     if method == "generating_function":
-        if ell > _SERIES_CAP:
-            raise TooLarge(f"series route capped at l <= {_SERIES_CAP}")
-        return _nbl_series(b, ell)
+        return _eulerian_row(ell)[b - 1]
     raise InvalidParams(f"unknown method {method!r}")

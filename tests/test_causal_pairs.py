@@ -1,10 +1,15 @@
 """Tree pairs, reductions, causal graphs, orderings, and the pair series."""
 
 import math
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lightcone import causal_pairs
 from lightcone.causal_pairs import (
+    _creeping_double_words,
     build_causal_tree_pair,
     causal_graph_props,
     count_orderings,
@@ -17,8 +22,9 @@ from lightcone.causal_pairs import (
     theorem4_bound_bruteforce,
     theorem4_coefficients,
 )
-from lightcone.causal_trees import FactorSequence
+from lightcone.causal_trees import FactorSequence, build_causal_forest
 from lightcone.errors import (
+    ComputeError,
     InvalidOrdering,
     InvalidParams,
     NotCreeping,
@@ -29,7 +35,7 @@ from lightcone.errors import (
     UnknownFactor,
     UnrepeatedFactor,
 )
-from lightcone.factor_graph import Factor, build_graph, as_weighted
+from lightcone.factor_graph import Factor, FactorGraph, build_graph, as_weighted
 
 
 def chain3():
@@ -298,9 +304,15 @@ class TestCountOrderings:
         assert counts.n_psi <= math.comb(2 * ell, ell) * counts.n_left * counts.n_right
 
     def test_inequality_random_pairs(self):
-        # the assert inside count_orderings is the check
+        # the packing guard inside count_orderings is the check
         for seed in range(1000):
             pair, g = random_irreducible_pair(7, seed=10_000 + seed)
+            count_orderings(pair, g)
+
+    def test_packing_guard_typed(self, monkeypatch):
+        g, word, pair = genus1_q3()
+        monkeypatch.setattr(causal_pairs, "_single_orderings", lambda tree, base: 0)
+        with pytest.raises(ComputeError, match="packing inequality"):
             count_orderings(pair, g)
 
 
@@ -449,7 +461,49 @@ class TestTheorem4:
             theorem4_coefficients(as_weighted(big), 0, 13)
 
 
+# (seed, word, genus) of random_irreducible_pair(8, seed): seeds 0-9 and the
+# first ten genus-1 seeds; a factor is its node tuple, or (nodes, flavor)
+# when the flavor is not 0
+RANDOM_PAIR_PINS = (
+    (0, ((0, 1, 2), (0, 1, 2)), 0),
+    (1, ((1, 3), (0, 1), (0, 2), (0, 2), (0, 1), (1, 3)), 0),
+    (2, ((0, 1, 2), (0, 1, 2)), 0),
+    (3, ((0, 1, 3), (0, 1, 3)), 0),
+    (4, ((0, 2, 3), (0, 1), (0, 1), (0, 2, 3)), 0),
+    (5, ((2, 4), (2, 4)), 0),
+    (6, ((0, 1, 2), (0, 1, 2)), 0),
+    (7, ((2, 3), (3, 6), (6, 7), (6, 7), (3, 6), (2, 3)), 0),
+    (8, ((2, 4), (2, 4)), 0),
+    (9, ((1, 3), (1, 3)), 0),
+    (54, (((1, 3), 1), (2, 3), (1, 3), ((1, 3), 1), (2, 3), (1, 3)), 1),
+    (91, ((0, 3), (1, 3), (0, 2, 3), (0, 3), (1, 3), (0, 2, 3)), 1),
+    (143, ((2, 3), (2, 4), (2, 4), ((2, 3), 1), (2, 3), ((2, 3), 1)), 1),
+    (184, (((0, 1), 1), (1, 2), ((0, 1), 1), (1, 2), (0, 1), (0, 1)), 1),
+    (199, (((0, 1), 1), (0, 1), (1, 2, 3), ((0, 1), 1), (1, 2, 3), (0, 1)), 1),
+    (230, ((0, 2, 3), (0, 2, 3), ((0, 2), 1), (2, 4), (2, 4), ((0, 2), 1)), 1),
+    (328, ((0, 1, 2), (0, 1, 2), (1, 2, 3), (0, 2), (1, 2, 3), (0, 2)), 1),
+    (391, ((1, 2), (0, 2, 3), (1, 2), (0, 2, 3), (0, 1), (0, 1)), 1),
+    (480, ((2, 3), (0, 1, 2), (0, 1, 2), (1, 3), (2, 3), (1, 3)), 1),
+    (
+        502,
+        (((1, 2, 3), 1), (1, 2), ((1, 2, 3), 1), (0, 1), (0, 1), (1, 2), (2, 3), (2, 3)),
+        1,
+    ),
+)
+
+
 class TestRandomPair:
+    def test_pinned_words_and_genus(self):
+        # seeds keep their pairs only while the sampler draws from its RNG
+        # in the same order and picks from the same word list
+        for seed, word, genus in RANDOM_PAIR_PINS:
+            pair, g = random_irreducible_pair(8, seed)
+            got = tuple(
+                f.nodes if f.flavor == 0 else (f.nodes, f.flavor) for f in pair.word
+            )
+            assert got == word, seed
+            assert causal_graph_props(pair, g).genus == genus, seed
+
     def test_deterministic(self):
         a, ga = random_irreducible_pair(6, seed=42)
         b, gb = random_irreducible_pair(6, seed=42)
@@ -461,3 +515,39 @@ class TestRandomPair:
             pair, g = random_irreducible_pair(8, seed=seed)
             assert is_irreducible_pair(pair)
             assert any(pair.target in f for f in pair.factors)
+
+
+@st.composite
+def factor_pools(draw):
+    n = draw(st.integers(2, 5))
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.frozensets(st.integers(0, n - 1), min_size=1, max_size=3),
+                st.integers(0, 1),
+            ),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    pool = [Factor(nodes=tuple(nodes), flavor=flavor) for nodes, flavor in specs]
+    g = FactorGraph(n_nodes=n, factors=tuple(sorted(pool)))
+    return g, pool, draw(st.integers(0, n - 1))
+
+
+class TestCreepingDoubleWords:
+    @settings(max_examples=60, deadline=None)
+    @given(factor_pools())
+    def test_matches_permutation_oracle(self, case):
+        g, pool, i = case
+
+        def creeps(word):
+            return build_causal_forest(g, FactorSequence(root=i, factors=word)).is_tree
+
+        oracle = [
+            w
+            for w in sorted(set(permutations(sorted(pool) * 2)))
+            if creeps(w) and creeps(w[::-1])
+        ]
+        assert list(_creeping_double_words(pool, i)) == oracle

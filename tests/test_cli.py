@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lightcone
 from lightcone.cli import main
 from lightcone.curves import read_curves_csv
 from lightcone.factor_graph import graph_to_json, standard_graph
@@ -256,3 +261,48 @@ class TestThreadCap:
 
         assert os.environ["OMP_NUM_THREADS"] == "1"
         capsys.readouterr()
+
+
+# reads the live OpenBLAS pool size the way perfbench/worker.py does
+_LIVE_BLAS_THREADS = """
+import ctypes
+import lightcone
+import numpy
+counts = []
+with open("/proc/self/maps") as fh:
+    libs = {l.split()[-1] for l in fh if "openblas" in l and l.rstrip().endswith(".so")}
+for path in sorted(libs):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_",
+                   "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.restype = ctypes.c_int
+            counts.append(fn())
+            break
+print(max(counts) if counts else -1)
+"""
+
+
+def test_thread_cap_reaches_openblas():
+    pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in pools}
+    env["LIGHTCONE_THREADS"] = "1"
+    env["PYTHONPATH"] = str(Path(lightcone.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _LIVE_BLAS_THREADS],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    live = int(out.stdout)
+    if live < 0:
+        pytest.skip("no OpenBLAS thread-count symbol in this process")
+    assert live == 1
+
+
+def test_invalid_thread_cap_does_not_break_import():
+    env = dict(os.environ, LIGHTCONE_THREADS="many")
+    env["PYTHONPATH"] = str(Path(lightcone.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", "import lightcone"], env=env, check=True)

@@ -34,7 +34,7 @@ def test_single_branch_always_one():
 
 
 def test_two_branch_closed_form():
-    # series route reproduces 2^l - l - 1 for the two-branch column
+    # the recurrence reproduces 2^l - l - 1 for the two-branch column
     for ell in range(2, 13):
         assert nbl(2, ell) == 2**ell - ell - 1
 
@@ -54,7 +54,7 @@ def test_strict_growth_bound_above_one_branch():
 
 def test_eulerian_closed_form():
     # N(b, l) = A(l, b-1) = sum_k (-1)^k C(l+1, k) (b-k)^l
-    for ell in range(1, 13):
+    for ell in range(1, 21):
         for b in range(1, ell + 1):
             eulerian = sum(
                 (-1) ** k * math.comb(ell + 1, k) * (b - k) ** ell
@@ -71,8 +71,8 @@ def test_out_of_range_zero():
 def test_caps():
     with pytest.raises(TooLarge):
         branch_census(6)
-    with pytest.raises(TooLarge):
-        nbl(1, 13)
+    # no cap on the recurrence: A(13, 6), the central Eulerian number
+    assert nbl(7, 13) == 2275172004
     with pytest.raises(InvalidParams):
         nbl(1, 0)
     with pytest.raises(InvalidParams):
