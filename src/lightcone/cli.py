@@ -461,8 +461,18 @@ def _check_bounds() -> list[str]:
     return done
 
 
+def _distance(one, two) -> float:
+    """l2 distance between two operator vectors of one basis."""
+    return math.sqrt(
+        sum(
+            (one.terms.get(k, 0.0) - two.terms.get(k, 0.0)) ** 2
+            for k in set(one.terms) | set(two.terms)
+        )
+    )
+
+
 def _check_simulation() -> list[str]:
-    from .liouville import evolve_operator, norm, spin_term
+    from .liouville import build_syk_hamiltonian, evolve_operator, norm, spin_term
     from .path_bounds import prop1_convert
     from .correlators import hatc_ij_exact
 
@@ -478,14 +488,15 @@ def _check_simulation() -> list[str]:
     _require(abs(norm(ev) - 1.0) < 1e-10, "norm drift in dense evolution")
     two = evolve_operator(terms, evolve_operator(terms, o, 0.6, method="krylov"), 0.9, method="krylov")
     one = evolve_operator(terms, o, 1.5, method="krylov")
-    diff = math.sqrt(
-        sum(
-            (one.terms.get(k, 0.0) - two.terms.get(k, 0.0)) ** 2
-            for k in set(one.terms) | set(two.terms)
-        )
-    )
-    _require(diff < 1e-9, "time additivity broken in Krylov evolution")
+    _require(_distance(one, two) < 1e-9, "time additivity broken in Krylov evolution")
     done.append("norm preservation and additivity")
+
+    syk = build_syk_hamiltonian(8, 4, seed=2024)
+    psi = majorana_mode(8, 1)
+    dense = evolve_operator(syk, psi, 0.8)
+    krylov = evolve_operator(syk, psi, 0.8, method="krylov", tol=1e-12)
+    _require(_distance(dense, krylov) < 1e-8, "Majorana Krylov and dense disagree")
+    done.append("Majorana Krylov vs dense (SYK-8)")
 
     ts = (0.4, 1.1)
     c = c_ij_exact(terms, 0, 3, o, ts)

@@ -29,7 +29,7 @@ site i and exactly 1 on it.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,14 +40,16 @@ from .liouville import (
     OperatorVector,
     _dense_heisenberg,
     _dense_to_vector,
-    _terms_kind,
+    _qubits,
+    _term_codes,
+    _vector,
     evolve_operator,
     inner,
     pauli_commutator,
     single_site_pauli,
 )
-from .majorana import jw_pauli_of_mode
-from .pauli import PauliString, _string_action
+from .majorana import _mode_code
+from .pauli import PauliString, _code, _code_actions, _dual
 
 __all__ = [
     "projector_apply",
@@ -57,12 +59,6 @@ __all__ = [
 ]
 
 
-def _keeps(kind: str, key, j: int) -> bool:
-    if kind == "pauli":
-        return key.labels[j] != 0
-    return (len(key) - (1 if j in key else 0)) % 2 == 0
-
-
 def _check_site(kind: str, n: int, j: int) -> None:
     if kind == "pauli" and not 0 <= j < n:
         raise InvalidParams(f"site {j} outside 0..{n - 1}")
@@ -70,19 +66,29 @@ def _check_site(kind: str, n: int, j: int) -> None:
         raise InvalidParams(f"mode {j} outside 1..{n}")
 
 
+def _keeps(o: OperatorVector, j: int) -> Callable[[int], bool]:
+    """Test on codes for the strings P_j keeps: a Pauli string acting on
+    site j, or a Majorana element commuting with psi_j ({B, psi_j} != 0)."""
+    _check_site(o.kind, o.n, j)
+    nq = _qubits(o.kind, o.n)
+    if o.kind == "pauli":
+        site = _code(PauliString.single(nq, j, "Y").labels)  # Y has both bits
+        return lambda code: code & site != 0
+    dual = _dual(_mode_code(o.n, j), nq)
+    return lambda code: (code & dual).bit_count() % 2 == 0
+
+
 def projector_apply(o: OperatorVector, j: int) -> OperatorVector:
     """P_j O: the component of O acting non-trivially on site/mode j."""
-    _check_site(o.kind, o.n, j)
-    kept = {k: c for k, c in o.terms.items() if _keeps(o.kind, k, j)}
-    return OperatorVector(
-        kind=o.kind, n=o.n, terms=kept, prune_error=o.prune_error
-    )
+    keeps = _keeps(o, j)
+    kept = {k: c for k, c in o.codes.items() if keeps(k)}
+    return _vector(o.kind, o.n, kept, o.prune_error)
 
 
 def projected_weight(o: OperatorVector, j: int) -> float:
     """(O| P_j |O) without materializing the projected vector."""
-    _check_site(o.kind, o.n, j)
-    return sum(c * c for k, c in o.terms.items() if _keeps(o.kind, k, j))
+    keeps = _keeps(o, j)
+    return sum(c * c for k, c in o.codes.items() if keeps(k))
 
 
 def _validate_initial(a: OperatorVector, i: int) -> None:
@@ -127,7 +133,8 @@ def _dense_weight(At: np.ndarray, kind: str, n: int, j: int) -> float:
     _check_site(kind, n, j)
     dim = At.shape[0]
     if kind == "majorana":
-        a_psi, psi_a = _products(At, _string_action(jw_pauli_of_mode(n, j)))
+        (psi,) = zip(*_code_actions(_qubits(kind, n), [_mode_code(n, j)]))
+        a_psi, psi_a = _products(At, psi)
         return _sq_norm(a_psi + psi_a) / (4 * dim)
     # rows and columns split as (sites < j, site j, sites > j)
     lo, hi = 2**j, 2 ** (n - 1 - j)
@@ -168,13 +175,14 @@ def c_ij_exact(
 ) -> BoundCurve:
     """Exact C_ij(t) on a time grid."""
     _validate_initial(a_i, i)
+    entries = _term_codes(terms, a_i.kind, a_i.n)
     denom = inner(a_i, a_i)
     evolve = None
     values = []
     for t in times:
         if method == "dense" and t != 0.0:
             if evolve is None:
-                evolve = _dense_heisenberg(terms, a_i)
+                evolve = _dense_heisenberg(entries, a_i)
             At = evolve(t)
             weight = _dense_weight(At, a_i.kind, a_i.n, j)
             if weight < _FLOOR**2 * denom:
@@ -206,19 +214,20 @@ def hatc_ij_exact(
     with |u| = 1 is the top eigenvalue of the 3x3 Gram matrix of the
     commutators with the three Pauli probes.
     """
-    if a_i.kind != "pauli" or _terms_kind(terms) != "pauli":
+    if a_i.kind != "pauli":
         raise BasisMismatch("probe optimization is defined on the qubit basis")
+    entries = _term_codes(terms, a_i.kind, a_i.n)
     _validate_initial(a_i, i)
     _check_site("pauli", a_i.n, j)
     denom = 4.0 * inner(a_i, a_i)
     probes = [single_site_pauli(a_i.n, j, lab) for lab in "XYZ"]
-    actions = [_string_action(PauliString.single(a_i.n, j, lab)) for lab in "XYZ"]
+    actions = list(zip(*_code_actions(a_i.n, [c for p in probes for c in p.codes])))
     evolve = None
     values = []
     for t in times:
         if method == "dense" and t != 0.0:
             if evolve is None:
-                evolve = _dense_heisenberg(terms, a_i)
+                evolve = _dense_heisenberg(entries, a_i)
             At = evolve(t)
             top = _top(_dense_gram(At, actions, denom))
             if top < _FLOOR**2:

@@ -4,27 +4,29 @@ Operators are sparse real-coefficient vectors over an orthonormal string
 basis: Pauli strings for qubits, or Hermitized Majorana subsets
 i^(m(m-1)/2) psi_{i1}..psi_{im} keyed by the ascending index tuple.  The
 Liouvillian L|O) = |i[H,O]) is real and antisymmetric, so e^(Lt) is a
-rotation of coefficient space.
+rotation of coefficient space.  Inside, each string is its int code (see
+``pauli``; a Majorana element is its Jordan-Wigner image, sign folded into
+the coefficient), so ``pauli._commutator`` serves both kinds; the kind
+matters only where keys cross the API, in ``_encode`` and ``terms``.
 
 Two evolution paths.  The dense path works in Hilbert space (2^n, cheap
 next to 4^n): with H = V diag(lam) V^dag it forms B = V^dag A V once and
 A(t) = W B W^dag, W = V diag(e^(i lam t)), two matmuls per time point.
 ``evolve_operator`` then re-expands A(t) into strings; ``c_ij_exact`` and
 ``hatc_ij_exact`` read their norms off A(t) directly and never expand.
-Dense matrices of strings and Hamiltonians are built from Pauli bitmasks
-in one scatter (see ``pauli.pauli_sum_dense``).  The Krylov path runs a
-Lanczos recurrence directly on the antisymmetric Liouvillian in string
-space.  Coefficients below 1e-15 are pruned with the discarded weight
-accumulated per vector.
+Dense matrices are built from the codes in one scatter.  The Krylov path
+runs a Lanczos recurrence directly on the antisymmetric Liouvillian in
+string space.  Coefficients below 1e-15 are pruned with the discarded
+weight accumulated per vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -35,16 +37,21 @@ from .errors import (
     InvalidParams,
     KrylovNotConverged,
     OddQ,
+    SizeMismatch,
     TooLarge,
 )
 from .factor_graph import Factor
-from .majorana import (
-    MajoranaString,
-    majorana_basis_to_pauli,
-    majorana_product,
-    n_qubits_for,
+from .majorana import _basis_code, _basis_indices, n_qubits_for
+from .pauli import (
+    PauliString,
+    _code,
+    _codes,
+    _commutator,
+    _placed,
+    _string,
+    _sum_dense,
+    dense_to_pauli_tensor,
 )
-from .pauli import PauliString, commutator_term, dense_to_pauli_tensor, pauli_sum_dense
 
 __all__ = [
     "PRUNE_THRESHOLD",
@@ -69,50 +76,82 @@ _DENSE_QUBIT_CAP = 10
 _DENSE_MAJORANA_CAP = 16
 
 
-@dataclass
+def _qubits(kind: str, n: int) -> int:
+    """Qubits of the code space: n, or ceil(n/2) for n Majorana modes."""
+    return n if kind == "pauli" else n_qubits_for(n)
+
+
+def _encode(kind: str, n: int, key) -> tuple[int, int]:
+    """(code, sign) of a public basis key: basis(key) = sign * sigma(code)."""
+    if kind == "pauli":
+        if not isinstance(key, PauliString):
+            raise BasisMismatch(f"{key!r} is not a Pauli string")
+        if key.n_sites != n:
+            raise SizeMismatch(f"string {key} does not fit {n} sites")
+        return _code(key.labels), 1
+    if not isinstance(key, tuple):
+        raise BasisMismatch(f"{key!r} is not a Majorana index tuple")
+    return _basis_code(n, key)
+
+
 class OperatorVector:
     """Sparse string-basis vector; treat instances as immutable snapshots.
 
-    ``terms`` maps PauliString -> float (pauli kind) or ascending index
-    tuple -> float (majorana kind).  ``prune_error`` accumulates the l2
-    weight discarded by thresholding across the operations that built it.
+    ``codes`` maps string codes to coefficients; ``terms`` is the public view
+    keyed by PauliString (pauli kind) or ascending index tuple (majorana).
+    ``prune_error`` accumulates the l2 weight discarded by thresholding
+    across the operations that built it.
     """
 
-    kind: str
-    n: int
-    terms: dict = field(default_factory=dict)
-    prune_error: float = 0.0
+    def __init__(
+        self, kind: str, n: int, terms: Mapping | None = None, prune_error: float = 0.0
+    ) -> None:
+        if kind not in ("pauli", "majorana"):
+            raise InvalidParams(f"unknown basis kind {kind!r}")
+        self.kind, self.n, self.prune_error = kind, n, prune_error
+        coded = ((_encode(kind, n, key), c) for key, c in (terms or {}).items())
+        self.codes: dict[int, float] = {code: sign * c for (code, sign), c in coded}
+
+    @cached_property
+    def terms(self) -> dict:
+        if self.kind == "pauli":
+            return {_string(code, self.n): c for code, c in self.codes.items()}
+        keys = ((_basis_indices(self.n, code), c) for code, c in self.codes.items())
+        return {key: sign * c for (key, sign), c in keys}
 
     def copy(self) -> "OperatorVector":
-        return OperatorVector(
-            kind=self.kind, n=self.n, terms=dict(self.terms),
-            prune_error=self.prune_error,
-        )
+        return _vector(self.kind, self.n, dict(self.codes), self.prune_error)
+
+
+def _vector(kind: str, n: int, codes: dict, prune_error: float = 0.0) -> OperatorVector:
+    o = OperatorVector(kind, n, prune_error=prune_error)
+    o.codes = codes
+    return o
+
+
+def _pruned(
+    kind: str, n: int, codes: Mapping[int, float], prune_error: float = 0.0
+) -> OperatorVector:
+    kept: dict = {}
+    dropped_sq = 0.0
+    for code, c in codes.items():
+        c = float(c)
+        if abs(c) > PRUNE_THRESHOLD:
+            kept[code] = c
+        else:
+            dropped_sq += c * c
+    return _vector(kind, n, kept, prune_error + math.sqrt(dropped_sq))
 
 
 def operator_vector(
     kind: str, n: int, terms: Mapping, prune_error: float = 0.0
 ) -> OperatorVector:
-    if kind not in ("pauli", "majorana"):
-        raise InvalidParams(f"unknown basis kind {kind!r}")
-    kept: dict = {}
-    dropped_sq = 0.0
-    for key, c in terms.items():
-        c = float(c)
-        if abs(c) > PRUNE_THRESHOLD:
-            kept[key] = kept.get(key, 0.0) + c
-        else:
-            dropped_sq += c * c
-    return OperatorVector(
-        kind=kind, n=n, terms=kept,
-        prune_error=prune_error + math.sqrt(dropped_sq),
-    )
+    return _pruned(kind, n, OperatorVector(kind, n, terms).codes, prune_error)
 
 
 def single_site_pauli(n: int, site: int, label: str | int) -> OperatorVector:
-    return OperatorVector(
-        kind="pauli", n=n, terms={PauliString.single(n, site, label): 1.0}
-    )
+    string = PauliString.single(n, site, label)
+    return OperatorVector(kind="pauli", n=n, terms={string: 1.0})
 
 
 def majorana_mode(n_majorana: int, k: int) -> OperatorVector:
@@ -129,51 +168,24 @@ def _check_same(a: OperatorVector, b: OperatorVector) -> None:
 
 
 def norm(o: OperatorVector) -> float:
-    return math.sqrt(sum(c * c for c in o.terms.values()))
+    return math.sqrt(sum(c * c for c in o.codes.values()))
+
+
+def _dot(u: dict, v: dict) -> float:
+    small, large = (u, v) if len(u) <= len(v) else (v, u)
+    return sum(c * large.get(k, 0.0) for k, c in small.items())
 
 
 def inner(a: OperatorVector, b: OperatorVector) -> float:
     _check_same(a, b)
-    small, large = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
-    return sum(c * large.terms.get(k, 0.0) for k, c in small.terms.items())
-
-
-def _string_comm(kind: str, n: int, s1, s2):
-    """i[basis(s1), basis(s2)] = coeff * basis(s_out), or None."""
-    if kind == "pauli":
-        return commutator_term(s1, s2)
-    m1, m2 = len(s1), len(s2)
-    shared = len(set(s1) & set(s2))
-    if (m1 * m2 - shared) % 2 == 0:
-        return None
-    raw = majorana_product(
-        MajoranaString(n_majorana=n, indices=s1),
-        MajoranaString(n_majorana=n, indices=s2),
-    )
-    mu = len(raw.indices)
-    e = (m1 * (m1 - 1) // 2 + m2 * (m2 - 1) // 2 - mu * (mu - 1) // 2) % 4
-    # anticommuting Hermitian elements: the product phase is odd, the
-    # commutator coefficient 2 i^(e+1) is real
-    if e % 2 != 1:
-        raise ComputeError("anticommuting basis elements gave an even phase")
-    coeff = 2.0 * raw.sign * (1.0 if (e + 1) % 4 == 0 else -1.0)
-    return coeff, raw.indices
+    return _dot(a.codes, b.codes)
 
 
 def pauli_commutator(a: OperatorVector, b: OperatorVector) -> OperatorVector:
     """i[a, b] in the shared string basis (either kind)."""
     _check_same(a, b)
-    out: dict = {}
-    for s1, c1 in a.terms.items():
-        for s2, c2 in b.terms.items():
-            hit = _string_comm(a.kind, a.n, s1, s2)
-            if hit is None:
-                continue
-            coeff, s = hit
-            out[s] = out.get(s, 0.0) + c1 * c2 * coeff
-    return operator_vector(
-        a.kind, a.n, out, prune_error=a.prune_error + b.prune_error
-    )
+    out = _commutator(_qubits(a.kind, a.n), a.codes.items(), b.codes)
+    return _pruned(a.kind, a.n, out, a.prune_error + b.prune_error)
 
 
 @dataclass(frozen=True)
@@ -193,89 +205,50 @@ def spin_term(
     flavor: int = 0,
 ) -> HamiltonianTerm:
     """Pauli interaction, e.g. sites (2,3) with labels "XX"."""
-    if len(sites) != len(labels):
-        raise InvalidParams("one label per site required")
-    ls = [0] * n
-    for site, ch in zip(sites, labels):
-        ls[site] = "IXYZ".index(ch)
     return HamiltonianTerm(
         factor=Factor(nodes=tuple(sites), flavor=flavor),
-        string=PauliString(labels=tuple(ls)),
+        string=_placed(n, sites, labels),
         coupling=float(coupling),
     )
 
 
-def _terms_kind(terms: Sequence[HamiltonianTerm]) -> str:
+def _term_codes(
+    terms: Sequence[HamiltonianTerm], kind: str, n: int
+) -> list[tuple[int, float]]:
+    """(code, signed coupling) per term, checked against the operator's basis."""
     if not terms:
         raise InvalidParams("empty Hamiltonian")
-    return "pauli" if isinstance(terms[0].string, PauliString) else "majorana"
+    encoded = [_encode(kind, n, term.string) for term in terms]
+    return [(code, sign * term.coupling) for (code, sign), term in zip(encoded, terms)]
 
 
 def liouvillian_apply(
     terms: Sequence[HamiltonianTerm], o: OperatorVector
 ) -> OperatorVector:
     """L|O) = sum_X i[J_X H_X, O]."""
-    if _terms_kind(terms) != o.kind:
-        raise BasisMismatch("Hamiltonian and operator bases differ")
-    out: dict = {}
-    for term in terms:
-        for s, c in o.terms.items():
-            hit = _string_comm(o.kind, o.n, term.string, s)
-            if hit is None:
-                continue
-            coeff, key = hit
-            out[key] = out.get(key, 0.0) + term.coupling * c * coeff
-    return operator_vector(o.kind, o.n, out, prune_error=o.prune_error)
+    out = _commutator(_qubits(o.kind, o.n), _term_codes(terms, o.kind, o.n), o.codes)
+    return _pruned(o.kind, o.n, out, o.prune_error)
 
 
 # -- dense path -------------------------------------------------------------
 
-def _dense_matrix(kind: str, n: int, entries: Iterable[tuple]) -> np.ndarray:
-    """sum c * basis(key) over (key, c) entries, as one Pauli-mask scatter."""
-    labels, coeffs = [], []
-    for key, c in entries:
-        if kind == "pauli":
-            labels.append(key.labels)
-            coeffs.append(c)
-        else:
-            sign, p = majorana_basis_to_pauli(n, tuple(key))
-            labels.append(p.labels)
-            coeffs.append(sign * c)
-    nq = n if kind == "pauli" else n_qubits_for(n)
-    return pauli_sum_dense(nq, labels, coeffs)
-
-
 @lru_cache(maxsize=8)
-def _dense_eig(terms: tuple, kind: str, n: int):
-    H = _dense_matrix(kind, n, ((t.string, t.coupling) for t in terms))
-    vals, vecs = np.linalg.eigh(H)
-    return vals, vecs
-
-
-@lru_cache(maxsize=4)
-def _pauli_to_majorana_map(n_majorana: int) -> dict:
-    """labels tuple of the JW image -> (subset, sign), for even mode count."""
-    out = {}
-    for m in range(n_majorana + 1):
-        for subset in combinations(range(1, n_majorana + 1), m):
-            sign, p = majorana_basis_to_pauli(n_majorana, subset)
-            out[p.labels] = (subset, sign)
-    return out
+def _dense_eig(nq: int, entries: tuple[tuple[int, float], ...]):
+    return np.linalg.eigh(_sum_dense(nq, entries))
 
 
 def _dense_heisenberg(
-    terms: Sequence[HamiltonianTerm], o: OperatorVector
+    entries: Sequence[tuple[int, float]], o: OperatorVector
 ) -> Callable[[float], np.ndarray]:
     """t -> A(t) = e^(iHt) A e^(-iHt) as a dense Hilbert-space matrix.
 
     With H = V diag(lam) V^dag, B = V^dag A V is formed once and each time
     point costs two matmuls: A(t) = W B W^dag with W = V diag(e^(i lam t)).
-    Raises the dense path's size and basis errors before any work, and
-    ``ComputeError`` when A(t) has an anti-Hermitian part, i.e. when its
-    string coefficients would leave the real span.
+    ``entries`` come from ``_term_codes``.  Raises the dense path's size
+    errors before any work, and ``ComputeError`` when A(t) has an
+    anti-Hermitian part, i.e. when its string coefficients would leave the
+    real span.
     """
-    if _terms_kind(terms) != o.kind:
-        raise BasisMismatch("Hamiltonian and operator bases differ")
     kind, n = o.kind, o.n
     if kind == "pauli" and n > _DENSE_QUBIT_CAP:
         raise TooLarge(f"dense path capped at {_DENSE_QUBIT_CAP} qubits")
@@ -284,8 +257,9 @@ def _dense_heisenberg(
             raise TooLarge(f"dense path capped at {_DENSE_MAJORANA_CAP} modes")
         if n % 2 != 0:
             raise InvalidParams("dense path needs an even mode count")
-    vals, vecs = _dense_eig(tuple(terms), kind, n)
-    B = vecs.conj().T @ _dense_matrix(kind, n, o.terms.items()) @ vecs
+    nq = _qubits(kind, n)
+    vals, vecs = _dense_eig(nq, tuple(entries))
+    B = vecs.conj().T @ _sum_dense(nq, o.codes.items()) @ vecs
     root_dim = math.sqrt(vecs.shape[0])
 
     def at(t: float) -> np.ndarray:
@@ -304,27 +278,16 @@ def _dense_heisenberg(
 
 def _dense_to_vector(At: np.ndarray, o: OperatorVector) -> OperatorVector:
     """Expand a dense A(t) evolved from ``o`` back into ``o``'s string basis."""
-    kind, n = o.kind, o.n
     coeffs = dense_to_pauli_tensor(At).real
     total_sq = float(np.sum(coeffs * coeffs))
-    kept: dict = {}
+    labels = np.argwhere(np.abs(coeffs) > PRUNE_THRESHOLD)
+    values = coeffs[tuple(labels.T)].tolist()
     kept_sq = 0.0
-    if kind == "pauli":
-        for idx in np.argwhere(np.abs(coeffs) > PRUNE_THRESHOLD):
-            c = float(coeffs[tuple(idx)])
-            kept[PauliString(labels=tuple(int(x) for x in idx))] = c
-            kept_sq += c * c
-    else:
-        lookup = _pauli_to_majorana_map(n)
-        for idx in np.argwhere(np.abs(coeffs) > PRUNE_THRESHOLD):
-            c = float(coeffs[tuple(idx)])
-            subset, sign = lookup[tuple(int(x) for x in idx)]
-            kept[subset] = sign * c
-            kept_sq += c * c
+    for c in values:
+        kept_sq += c * c
     dropped = math.sqrt(max(total_sq - kept_sq, 0.0))
-    return OperatorVector(
-        kind=kind, n=n, terms=kept, prune_error=o.prune_error + dropped
-    )
+    codes = _codes(labels).tolist()
+    return _vector(o.kind, o.n, dict(zip(codes, values)), o.prune_error + dropped)
 
 
 # -- Krylov path ------------------------------------------------------------
@@ -344,22 +307,18 @@ def _krylov_evolve(
     norm0 = norm(o)
     if norm0 == 0.0:
         return o.copy()
-    basis: list[dict] = [{k: v / norm0 for k, v in o.terms.items()}]
+    basis: list[dict] = [{k: v / norm0 for k, v in o.codes.items()}]
     betas: list[float] = []
     y = None
 
-    def dot(u: dict, v: dict) -> float:
-        small, large = (u, v) if len(u) <= len(v) else (v, u)
-        return sum(c * large.get(k, 0.0) for k, c in small.items())
-
     for m in range(1, max_dim + 1):
-        vk = OperatorVector(kind=o.kind, n=o.n, terms=basis[-1])
-        w = dict(liouvillian_apply(terms, vk).terms)
+        vk = _vector(o.kind, o.n, basis[-1])
+        w = liouvillian_apply(terms, vk).codes
         if len(basis) >= 2:
             _axpy(w, betas[-1], basis[-2])
         # full reorthogonalization keeps the recurrence honest at tol
         for vb in basis:
-            _axpy(w, -dot(w, vb), vb)
+            _axpy(w, -_dot(w, vb), vb)
         beta = math.sqrt(sum(c * c for c in w.values()))
         # expm on the skew tridiagonal block is the pricey part at large m;
         # past m=60 only sample it every few steps
@@ -384,7 +343,7 @@ def _krylov_evolve(
     out: dict = {}
     for coeff, vb in zip(y, basis):
         _axpy(out, norm0 * float(coeff), vb)
-    return operator_vector(o.kind, o.n, out, prune_error=o.prune_error)
+    return _pruned(o.kind, o.n, out, o.prune_error)
 
 
 def evolve_operator(
@@ -396,13 +355,12 @@ def evolve_operator(
     max_krylov: int = 400,
 ) -> OperatorVector:
     """A(t) = e^(Lt) A under the Hamiltonian's Liouvillian."""
-    if _terms_kind(terms) != o.kind:
-        raise BasisMismatch("Hamiltonian and operator bases differ")
     terms = tuple(terms)
+    entries = _term_codes(terms, o.kind, o.n)
     if t == 0.0:
         return o.copy()
     if method == "dense":
-        return _dense_to_vector(_dense_heisenberg(terms, o)(t), o)
+        return _dense_to_vector(_dense_heisenberg(entries, o)(t), o)
     if method == "krylov":
         return _krylov_evolve(terms, o, t, tol, max_krylov)
     raise InvalidParams(f"unknown method {method!r}")

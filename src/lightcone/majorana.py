@@ -1,30 +1,27 @@
-"""Majorana-string algebra with psi_k^2 = 1 normalization.
+"""Majorana-string algebra with psi_k^2 = 1 normalization, on Pauli codes.
 
 A string is an ascending index subset with a sign: sign * psi_{i1}...psi_im.
-Products count transpositions and contract repeated modes.  The orthonormal
-operator basis attaches the Hermitizing phase i^(m(m-1)/2) to each subset;
-under the Jordan-Wigner realization psi_{2r-1} = Z..Z X_r, psi_{2r} =
-Z..Z Y_r every basis element is a Pauli string times a sign, which is how
-the dense path and the re-expansion work.
+The orthonormal operator basis attaches the Hermitizing phase i^(m(m-1)/2)
+to each subset.  Under the Jordan-Wigner realization psi_{2r-1} = Z..Z X_r,
+psi_{2r} = Z..Z Y_r on ceil(n/2) qubits every basis element is the Pauli
+string of one code times an exact sign (``_basis_code``).  Inside the
+package Majorana operators live on these codes with the sign folded into
+the coefficient, so they share the Pauli kernel; the sign is applied again
+where an index tuple crosses the API boundary.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .errors import ComputeError, SizeMismatch
-from .pauli import PauliString, pauli_dense, string_product
+from .errors import InvalidParams, SizeMismatch
+from .pauli import PauliString, _code, _product, _site_bits, _string
 
 __all__ = [
     "MajoranaString",
     "majorana_product",
     "jw_pauli_of_mode",
-    "majorana_basis_to_pauli",
-    "majorana_dense",
     "n_qubits_for",
 ]
 
@@ -54,61 +51,64 @@ class MajoranaString:
         return len(self.indices)
 
 
-def majorana_product(s1: MajoranaString, s2: MajoranaString) -> MajoranaString:
-    """Ordered product with transposition signs and psi^2 = 1 contractions."""
-    if s1.n_majorana != s2.n_majorana:
-        raise SizeMismatch(
-            f"mode counts differ: {s1.n_majorana} vs {s2.n_majorana}"
-        )
-    cur = list(s1.indices)
-    flips = 0
-    for b in s2.indices:
-        pos = bisect_left(cur, b)
-        if pos < len(cur) and cur[pos] == b:
-            flips += len(cur) - pos - 1
-            cur.pop(pos)
-        else:
-            flips += len(cur) - pos
-            cur.insert(pos, b)
-    sign = s1.sign * s2.sign * (1 if flips % 2 == 0 else -1)
-    return MajoranaString(
-        n_majorana=s1.n_majorana, indices=tuple(cur), sign=sign
-    )
+def _mode_code(n_majorana: int, k: int) -> int:
+    """Code of psi_k: X (k odd) or Y (k even) on qubit r = ceil(k/2), Z before it."""
+    if not 1 <= k <= n_majorana:
+        raise SizeMismatch(f"mode {k} outside 1..{n_majorana}")
+    r, nq = (int(k) + 1) // 2, n_qubits_for(n_majorana)
+    return _code([3] * (r - 1) + [1 if k % 2 else 2] + [0] * (nq - r))
 
 
-@lru_cache(maxsize=None)
 def jw_pauli_of_mode(n_majorana: int, k: int) -> PauliString:
     """psi_k as a Pauli string on ceil(n_majorana/2) qubits."""
-    if not 1 <= k <= n_majorana:
-        raise ValueError(f"mode {k} outside 1..{n_majorana}")
-    nq = n_qubits_for(n_majorana)
-    r = (k + 1) // 2  # qubit hosting the mode: k = 2r-1 gives X, k = 2r gives Y
-    label = 1 if k % 2 == 1 else 2
-    labels = [3] * (r - 1) + [label] + [0] * (nq - r)
-    return PauliString(labels=tuple(labels))
+    return _string(_mode_code(n_majorana, k), n_qubits_for(n_majorana))
 
 
 @lru_cache(maxsize=None)
-def majorana_basis_to_pauli(
-    n_majorana: int, indices: tuple[int, ...]
-) -> tuple[float, PauliString]:
-    """Basis element i^(m(m-1)/2) psi_{i1}...psi_{im} as sign * PauliString."""
-    nq = n_qubits_for(n_majorana)
-    m = len(indices)
-    phase = (m * (m - 1) // 2) % 4
-    s = PauliString.identity(nq)
+def _basis_code(n_majorana: int, indices: tuple[int, ...]) -> tuple[int, int]:
+    """(code, sign) with i^(m(m-1)/2) psi_{i1}...psi_{im} = sign * sigma(code).
+
+    The ordered product of the mode strings is i^p sigma(code), and the
+    Hermitizing phase makes i^(p + m(m-1)/2) real.
+    """
+    if any(b <= a for a, b in zip(indices, indices[1:])):
+        raise InvalidParams(f"mode indices {indices} are not strictly ascending")
+    code = p = 0
     for k in indices:
-        p, s = string_product(s, jw_pauli_of_mode(n_majorana, k))
-        phase = (phase + p) % 4
-    if phase not in (0, 2):
-        raise ComputeError("basis element must be Hermitian")
-    return (1.0 if phase == 0 else -1.0), s
+        q, code = _product(code, _mode_code(n_majorana, k), n_qubits_for(n_majorana))
+        p += q
+    return code, 1 if (p + len(indices) * (len(indices) - 1) // 2) % 4 == 0 else -1
 
 
-def majorana_dense(s: MajoranaString) -> np.ndarray:
-    """Dense matrix of a raw string on 2^ceil(n/2) dimensions."""
-    nq = n_qubits_for(s.n_majorana)
-    out = np.eye(2**nq, dtype=complex) * s.sign
-    for k in s.indices:
-        out = out @ pauli_dense(jw_pauli_of_mode(s.n_majorana, k))
-    return out
+def _basis_indices(n_majorana: int, code: int) -> tuple[tuple[int, ...], int]:
+    """(indices, sign) of the basis element with image ``code``.
+
+    Qubit r holds x = a ^ b and z = b ^ c for modes a = 2r-1, b = 2r and c
+    the parity of the modes on later qubits, so it reads from the last one.
+    """
+    nq = n_qubits_for(n_majorana)
+    later = 0
+    found = []
+    for r, (x, z) in zip(range(nq, 0, -1), reversed(_site_bits(code, nq))):
+        b = z ^ later
+        if b:
+            found.append(2 * r)
+        if x ^ b:
+            found.append(2 * r - 1)
+        later ^= x
+    indices = tuple(reversed(found))
+    return indices, _basis_code(n_majorana, indices)[1]
+
+
+def majorana_product(s1: MajoranaString, s2: MajoranaString) -> MajoranaString:
+    """Ordered product with transposition signs and psi^2 = 1 contractions."""
+    n = s1.n_majorana
+    if s2.n_majorana != n:
+        raise SizeMismatch(f"mode counts differ: {n} vs {s2.n_majorana}")
+    (c1, g1), (c2, g2) = _basis_code(n, s1.indices), _basis_code(n, s2.indices)
+    p, c3 = _product(c1, c2, n_qubits_for(n))
+    out, g3 = _basis_indices(n, c3)
+    h1, h2, h3 = (len(s) * (len(s) - 1) // 2 for s in (s1.indices, s2.indices, out))
+    # psi_S = i^-h g sigma(code), so psi_S1 psi_S2 = i^(p+h3-h1-h2) g1 g2 g3 psi_S3
+    sign = s1.sign * s2.sign * g1 * g2 * g3 * (1 if (p + h3 - h1 - h2) % 4 == 0 else -1)
+    return MajoranaString(n_majorana=n, indices=out, sign=sign)

@@ -255,9 +255,11 @@ def corollary6_bound(
     r = 2|t| max_row_sum(h) / (l + 1) per term in the max norm, so once
     r < 1/2 the rest of the series adds at most max(u_l) / (1 - r) to the
     entry.  The sum stops as soon as that tail is at most 1e-13 of the
-    total, at any length.  While the entry is still 0 the sum goes on; a
-    walk from i reaches every node of its component within n - 1 steps, so
-    an entry still 0 after n terms is returned as 0.0 (j is unreachable).
+    total, at any length, and returns the total plus the tail, so the value
+    never falls below the series.  While the entry is still 0 the sum goes
+    on; a walk from i reaches every node of its component within n - 1
+    steps, so an entry still 0 after n terms is returned as 0.0 (j is
+    unreachable).
     """
     h = as_weighted(g).h_sparse
     n = h.shape[0]
@@ -282,8 +284,10 @@ def corollary6_bound(
                 return 0.0  # every later term vanishes, or j is unreachable
             continue
         ratio = x * row_norm / (length + 1)
-        if ratio < 0.5 and top / (1.0 - ratio) <= 1e-13 * total:
-            return total
+        if ratio < 0.5:
+            tail = top / (1.0 - ratio)
+            if tail <= 1e-13 * total:
+                return total + tail
 
 
 def golden_section_min(

@@ -338,6 +338,26 @@ class TestErrorContract:
             c_ij_exact(h, 1, 2, majorana_mode(4, 1), (0.5,))
         with pytest.raises(BasisMismatch):
             c_ij_exact(h, 1, 2, majorana_mode(4, 1), (0.0,))
+        # the Hamiltonian is checked before the time grid is read
+        with pytest.raises(BasisMismatch):
+            c_ij_exact(h, 1, 2, majorana_mode(4, 1), ())
+        syk = build_syk_hamiltonian(4, 2, seed=0)
+        a = single_site_pauli(4, 1, "Z")
+        with pytest.raises(BasisMismatch):
+            hatc_ij_exact(syk, 1, 2, a, ())
+        with pytest.raises(InvalidParams, match="empty Hamiltonian"):
+            c_ij_exact([], 1, 2, a, ())
+        with pytest.raises(InvalidParams, match="empty Hamiltonian"):
+            hatc_ij_exact([], 1, 2, a, ())
+
+    def test_basis_checked_before_size_cap(self):
+        # a Majorana Hamiltonian on an operator past the dense cap
+        syk = build_syk_hamiltonian(4, 2, seed=0)
+        a = single_site_pauli(11, 0, "Z")
+        with pytest.raises(BasisMismatch):
+            c_ij_exact(syk, 0, 1, a, (0.5,))
+        with pytest.raises(BasisMismatch):
+            evolve_operator(syk, a, 0.5)
 
     def test_time_zero_grid_needs_no_dense_path(self):
         # at t = 0 A(0) = A exactly: no size cap, no even-mode rule, and the
@@ -368,8 +388,8 @@ class TestTypedGuards:
     def non_unitary_basis(self, monkeypatch):
         real = liouville._dense_eig
 
-        def doubled(terms, kind, n):
-            vals, vecs = real(terms, kind, n)
+        def doubled(nq, entries):
+            vals, vecs = real(nq, entries)
             return vals, 2.0 * vecs
 
         monkeypatch.setattr(liouville, "_dense_eig", doubled)
@@ -388,10 +408,10 @@ class TestTypedGuards:
 
     def test_imaginary_leak(self, monkeypatch, fresh_eig_cache):
         # a non-Hermitian operator matrix gives A(t) an anti-Hermitian part
-        real = liouville._dense_matrix
+        real = liouville._sum_dense
         monkeypatch.setattr(
-            liouville, "_dense_matrix",
-            lambda kind, n, entries: real(kind, n, entries) * (1.0 + 1e-3j),
+            liouville, "_sum_dense",
+            lambda nq, entries: real(nq, entries) * (1.0 + 1e-3j),
         )
         h = ring_terms(3, np.random.default_rng(16))
         a = single_site_pauli(3, 0, "X")

@@ -12,6 +12,7 @@ from lightcone.errors import (
     InvalidParams,
     KrylovNotConverged,
     OddQ,
+    SizeMismatch,
     TooLarge,
 )
 from lightcone.factor_graph import Factor
@@ -52,9 +53,10 @@ def random_2local(n, rng, labels=("XX", "YY", "ZZ"), fields=True):
 
 
 def dense_of(o: OperatorVector) -> np.ndarray:
-    from lightcone.liouville import _dense_matrix
+    from lightcone.liouville import _qubits
+    from lightcone.pauli import _sum_dense
 
-    return _dense_matrix(o.kind, o.n, o.terms.items())
+    return _sum_dense(_qubits(o.kind, o.n), o.codes.items())
 
 
 class TestVectors:
@@ -327,6 +329,73 @@ class TestEvolution:
         assert 0.0 <= ev.prune_error < 1e-12
 
 
+class TestBoundaryChecks:
+    """Keys and terms are checked where they are turned into codes."""
+
+    @pytest.mark.parametrize("path", ["apply", "krylov", "dense"])
+    def test_term_wider_than_operator(self, path):
+        h = [spin_term(3, (0, 2), "XX", 1.0)]
+        o = single_site_pauli(2, 0, "Z")
+        with pytest.raises(SizeMismatch):
+            if path == "apply":
+                liouvillian_apply(h, o)
+            else:
+                evolve_operator(h, o, 0.5, method=path)
+
+    def test_mixed_hamiltonian(self):
+        mixed = [
+            spin_term(2, (0, 1), "XX", 1.0),
+            HamiltonianTerm(factor=None, string=(1, 2), coupling=1.0),
+        ]
+        with pytest.raises(BasisMismatch):
+            liouvillian_apply(mixed, single_site_pauli(2, 0, "Z"))
+        with pytest.raises(BasisMismatch):
+            liouvillian_apply(mixed[::-1], majorana_mode(4, 1))
+        with pytest.raises(BasisMismatch):
+            evolve_operator(mixed, single_site_pauli(2, 0, "Z"), 0.5)
+
+    def test_mode_outside_range(self):
+        with pytest.raises(SizeMismatch):
+            operator_vector("majorana", 4, {(9,): 1.0})
+        h = [HamiltonianTerm(factor=None, string=(1, 9), coupling=1.0)]
+        with pytest.raises(SizeMismatch):
+            liouvillian_apply(h, majorana_mode(4, 1))
+        with pytest.raises(InvalidParams):
+            operator_vector("majorana", 4, {(3, 1): 1.0})
+
+    def test_key_of_the_wrong_size(self):
+        with pytest.raises(SizeMismatch):
+            operator_vector("pauli", 2, {PauliString.from_str("XYZ"): 1.0})
+        with pytest.raises(BasisMismatch):
+            OperatorVector(kind="majorana", n=4, terms={PauliString.from_str("XY"): 1.0})
+
+    @pytest.mark.parametrize(
+        "sites, labels", [((-1,), "Z"), ((0, 0), "XZ"), ((0, 1), "XQ"), ((5,), "X"), ((0,), "XY")]
+    )
+    def test_spin_term_validation(self, sites, labels):
+        with pytest.raises(InvalidParams):
+            spin_term(3, sites, labels, 1.0)
+
+    @pytest.mark.parametrize("site, label", [(5, "X"), (-1, "X"), (0, "Q"), (0, "XY"), (0, 7)])
+    def test_single_site_validation(self, site, label):
+        with pytest.raises(InvalidParams):
+            single_site_pauli(3, site, label)
+        with pytest.raises(InvalidParams):
+            PauliString.single(3, site, label)
+        assert single_site_pauli(3, 1, 2).terms == {PauliString.from_str("IYI"): 1.0}
+        assert PauliString.single(3, 1, "Y") == PauliString.from_str("IYI")
+
+    def test_terms_view_round_trip(self):
+        # public keys go in and come back out with their coefficients
+        rng = np.random.default_rng(11)
+        keys = [tuple(int(k) for k in s) for s in itertools.combinations(range(1, 8), 3)]
+        terms = {k: float(rng.normal()) for k in keys}
+        o = operator_vector("majorana", 7, terms)
+        assert o.terms == terms and list(o.terms) == keys
+        strings = {PauliString(labels=ls): float(rng.normal()) for ls in itertools.product(range(4), repeat=3)}
+        assert operator_vector("pauli", 3, strings).terms == strings
+
+
 class TestSykBuilder:
     def test_term_count_q2(self):
         assert len(build_syk_hamiltonian(4, 2, seed=0)) == 6
@@ -375,7 +444,8 @@ class TestSykBuilder:
 
     def test_hermitian_dense(self):
         h = build_syk_hamiltonian(4, 4, seed=11)
-        from lightcone.liouville import _dense_matrix
+        from lightcone.liouville import _term_codes
+        from lightcone.pauli import _sum_dense
 
-        H = _dense_matrix("majorana", 4, ((t.string, t.coupling) for t in h))
+        H = _sum_dense(2, _term_codes(h, "majorana", 4))
         np.testing.assert_allclose(H, H.conj().T, atol=1e-14)

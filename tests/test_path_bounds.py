@@ -266,6 +266,34 @@ class TestCorollary6:
             got = pb.corollary6_bound(g, 14, 26, t)
             assert got == pytest.approx(pb.bessel_i(12, 4 * t), rel=1e-6)
 
+    @staticmethod
+    def walk_series(g, i, j, t, n_terms):
+        """The walk series of (e^{2|t| h})_ij summed to n_terms terms, term by term."""
+        h = fg.as_weighted(g).h_sparse
+        u = np.zeros(h.shape[0])
+        u[i] = 1.0
+        total = float(u[j])
+        for length in range(1, n_terms):
+            u = (2.0 * abs(t) / length) * (h @ u)
+            total += float(u[j])
+        return total
+
+    def test_never_below_the_series(self):
+        rng = np.random.default_rng(12)
+        graphs = [
+            chain(12),
+            fg.standard_graph("star", 7),
+            fg.standard_graph("complete_q_local", 6, 2),
+            fg.as_weighted(chain(9), rng.uniform(0.1, 2.0, size=8)),
+        ]
+        for g in graphs:
+            n = fg.as_weighted(g).graph.n_nodes
+            for t in (0.05, 0.3, 1.0, 2.5):
+                for i in range(n):
+                    for j in range(n):
+                        want = self.walk_series(g, i, j, t, 200)
+                        assert pb.corollary6_bound(g, i, j, t) >= want, (i, j, t)
+
 
 class TestLiebRobinson:
     def test_zero_time(self):

@@ -1,15 +1,19 @@
-"""Pauli strings as bitmasks: dense matrices against Kronecker products."""
+"""Pauli strings as bitmasks: dense matrices and products against Kronecker products."""
 
 import itertools
 
 import numpy as np
+import pytest
 
+from lightcone.errors import SizeMismatch
 from lightcone.pauli import (
     PauliString,
+    _code,
+    _code_actions,
     _parity,
-    _string_action,
     pauli_dense,
     pauli_sum_dense,
+    string_product,
 )
 
 SIGMA = (
@@ -41,9 +45,16 @@ def test_pauli_dense_equals_kron():
         assert (got == want).all(), labels
 
 
+def test_dense_without_numpy2_popcount(monkeypatch):
+    # numpy >= 1.24 is supported, and np.bitwise_count arrived in numpy 2.0
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    for labels in all_strings():
+        assert (pauli_dense(PauliString(labels=labels)) == kron_dense(labels)).all()
+
+
 def test_string_action_is_the_matrix():
     for labels in all_strings():
-        perm, phase = _string_action(PauliString(labels=labels))
+        perm, phase = (row[0] for row in _code_actions(len(labels), [_code(labels)]))
         dim = len(perm)
         m = np.zeros((dim, dim), dtype=complex)
         m[perm, np.arange(dim)] = phase
@@ -74,3 +85,20 @@ def test_parity_fold():
     v = rng.integers(0, 2**62, size=500)
     want = np.array([bin(int(x)).count("1") % 2 for x in v])
     assert (_parity(v) == want).all()
+
+
+def test_string_product_matches_dense():
+    # every pair on 1-3 qubits: s1 s2 = i^p s as matrices, exactly
+    for n in range(1, 4):
+        strings = [PauliString(labels=ls) for ls in itertools.product(range(4), repeat=n)]
+        dense = {s: pauli_dense(s) for s in strings}
+        for s1 in strings:
+            for s2 in strings:
+                p, s = string_product(s1, s2)
+                assert 0 <= p < 4
+                assert (1j**p * dense[s] == dense[s1] @ dense[s2]).all(), (s1, s2)
+
+
+def test_string_product_size_mismatch():
+    with pytest.raises(SizeMismatch):
+        string_product(PauliString.from_str("XY"), PauliString.from_str("Z"))
