@@ -19,25 +19,39 @@ both trees and contains a j-factor spans a smaller pair realized by its
 own word; repeated reduction reaches an irreducible pair.  The union of
 the two embedded trees is the causal graph M whose genus controls the
 ensemble bounds downstream.
+
+Words, forests and node sets use the id and bitmask layout of
+``causal_trees``.  A pair is the two readings of its word, so the internal
+functions carry the word alone (as ids) and read the trees off it; a
+pair's signature is the (id, parent) pairs of both readings, in id order.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .causal_trees import (
+    ISOLATED,
+    ROOT,
     CausalForest,
     FactorSequence,
-    _check_factors,
-    build_causal_forest,
-    forbidden_vertices_single,
-    irreducible_path_of_tree,
+    _attach,
+    _bit,
+    _causal_forest,
+    _check_sequence,
+    _class_path,
+    _forest,
+    _ids,
+    _masks,
+    _nodes,
+    _slot_mask,
 )
 from .errors import (
     ComputeError,
@@ -73,6 +87,8 @@ __all__ = [
 
 _PAIR_CAP = 8  # exhaustive searches stop making sense past this many factors
 
+Word = tuple[int, ...]
+
 
 def _base(g: FactorGraph | WeightedFactorGraph) -> FactorGraph:
     return g.graph if isinstance(g, WeightedFactorGraph) else g
@@ -99,6 +115,41 @@ class CausalTreePair:
         return (self.left.signature(), self.right.signature())
 
 
+def _readings(
+    word: Word, masks: Sequence[int], i: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """(backward, forward) forests of a word read from node i."""
+    return _forest(word[::-1], masks, i), _forest(word, masks, i)
+
+
+def _signature(word: Word, masks: Sequence[int], i: int) -> tuple:
+    """Both readings of a word as (id, parent) pairs in id order."""
+    return tuple(tuple(sorted(t.items())) for t in _readings(word, masks, i))
+
+
+def _tree_pair(
+    factors: Sequence[Factor], i: int, j: int, word: Word, masks: Sequence[int]
+) -> CausalTreePair:
+    """The public pair of ``word``, whose ids index ``factors``."""
+    bwd, fwd = _readings(word, masks, i)
+    return CausalTreePair(
+        left=_causal_forest(factors, i, word[::-1], bwd),
+        right=_causal_forest(factors, i, word, fwd),
+        root=i,
+        target=j,
+    )
+
+
+def _pair_word(
+    pair: CausalTreePair, g: FactorGraph | WeightedFactorGraph, what: str
+) -> tuple[FactorGraph, tuple[int, ...], Word]:
+    """(graph, masks, word) of a pair of at most ``_PAIR_CAP`` factors."""
+    if len(pair.factors) > _PAIR_CAP:
+        raise TooLarge(f"{what} capped at {_PAIR_CAP} factors")
+    base = _base(g)
+    return base, _masks(base.factors), _ids(base, pair.word)
+
+
 def build_causal_tree_pair(
     g: FactorGraph | WeightedFactorGraph, seq: FactorSequence
 ) -> CausalTreePair:
@@ -107,88 +158,76 @@ def build_causal_tree_pair(
     Checks in order: factors belong to the graph, every factor repeats, the
     target appears, both reading directions creep.
     """
-    base = _base(g)
-    _check_factors(base, seq.factors)
+    base, word = _check_sequence(g, seq)
     if seq.target is None:
         raise TargetAbsent("two-sided sequence needs a target node")
-    word = seq.factors
-    counts: dict[Factor, int] = {}
-    for f in word:
-        counts[f] = counts.get(f, 0) + 1
-    for f, c in counts.items():
+    for x, c in Counter(word).items():
         if c < 2:
+            f = base.factors[x]
             raise UnrepeatedFactor(
                 f"factor {f.nodes} flavor {f.flavor} appears only once"
             )
-    if not any(seq.target in f for f in word):
+    masks = _masks(base.factors)
+    if _j_window(word, masks, seq.target) is None:
         raise TargetAbsent(f"target {seq.target} in no factor of the word")
-    bwd, fwd = _readings(base, seq.root, word)
-    if not fwd.is_tree:
+    pair = _tree_pair(base.factors, seq.root, seq.target, word, masks)
+    if not pair.right.is_tree:
         raise NotCreeping("forward reading is not creeping")
-    if not bwd.is_tree:
+    if not pair.left.is_tree:
         raise NotCreeping("backward reading is not creeping")
-    return CausalTreePair(left=bwd, right=fwd, root=seq.root, target=seq.target)
+    return pair
 
 
-def _readings(
-    base: FactorGraph, i: int, word: tuple[Factor, ...]
-) -> tuple[CausalForest, CausalForest]:
-    """(backward, forward) causal forests of a word read from node i."""
-    fwd = build_causal_forest(base, FactorSequence(root=i, factors=word))
-    bwd = build_causal_forest(base, FactorSequence(root=i, factors=word[::-1]))
-    return bwd, fwd
-
-
-def _first_last(
-    word: Sequence[Factor], start: int = 0
-) -> tuple[dict[Factor, int], dict[Factor, int]]:
-    """First and last position of each factor, counting from ``start``."""
-    first: dict[Factor, int] = {}
-    last: dict[Factor, int] = {}
-    for p, f in enumerate(word, start=start):
-        first.setdefault(f, p)
-        last[f] = p
-    return first, last
+def _j_window(word: Word, masks: Sequence[int], j: int) -> tuple[int, int] | None:
+    """(first, last) 1-based positions whose factor contains j."""
+    bit = _bit(j)
+    hits = [p for p, x in enumerate(word, start=1) if masks[x] & bit]
+    return (hits[0], hits[-1]) if hits else None
 
 
 # -- reduction --------------------------------------------------------------
 
-def _ancestor_closed_subsets(pair: CausalTreePair) -> Iterator[frozenset[Factor]]:
-    """Proper nonempty subsets closed under parents in both trees and
-    containing a factor with the target; smallest first, lexicographic
-    tie-break for determinism."""
-    factors = sorted(pair.factors)
-    j = pair.target
-    for size in range(1, len(factors)):
-        for combo in combinations(factors, size):
-            sub = frozenset(combo)
-            if not any(j in f for f in sub):
-                continue
-            if all(
-                (p := tree.parent_of(f)) is None or p in sub
-                for tree in (pair.left, pair.right)
-                for f in sub
+def _reducing_subset(
+    word: Word, masks: Sequence[int], i: int, j: int
+) -> tuple[int, ...] | None:
+    """The first proper nonempty factor subset closed under parents in both
+    readings and containing a factor with the target, or None when the
+    pair is irreducible; smallest first, lexicographic tie-break for
+    determinism."""
+    bwd, fwd = _readings(word, masks, i)
+    pool = sorted(fwd)
+    bit = {x: 1 << k for k, x in enumerate(pool)}
+    need = [bit.get(bwd[x], 0) | bit.get(fwd[x], 0) for x in pool]
+    holds_j = [masks[x] & _bit(j) for x in pool]
+    for size in range(1, len(pool)):
+        for combo in combinations(range(len(pool)), size):
+            sub = sum(1 << k for k in combo)
+            if any(holds_j[k] for k in combo) and not any(
+                need[k] & ~sub for k in combo
             ):
-                yield sub
+                return tuple(pool[k] for k in combo)
+    return None
+
+
+def _reduce(word: Word, masks: Sequence[int], i: int, j: int) -> Word:
+    """Restrict a word to its minimal reducing subset until none is left.
+
+    Replaying the restricted word reproduces the induced trees: an earlier
+    intersecting subset factor would have been the original parent already,
+    so the earliest intersecting predecessor cannot change.
+    """
+    while (sub := _reducing_subset(word, masks, i, j)) is not None:
+        word = tuple(x for x in word if x in sub)
+    return word
 
 
 def is_irreducible_pair(pair: CausalTreePair) -> bool:
     if len(pair.factors) > _PAIR_CAP:
         raise TooLarge(f"irreducibility search capped at {_PAIR_CAP} factors")
-    return next(_ancestor_closed_subsets(pair), None) is None
-
-
-def _restrict_tree(
-    tree: CausalForest, keep: frozenset[Factor], base: FactorGraph
-) -> CausalForest:
-    """Induced subtree on an ancestor-closed factor subset.
-
-    Replaying the restricted subsequence reproduces the induced parents: an
-    earlier intersecting subset factor would have been the original parent
-    already, so the earliest intersecting predecessor cannot change.
-    """
-    sub_seq = tuple(f for f in tree.sequence if f in keep)
-    return build_causal_forest(base, FactorSequence(root=tree.root, factors=sub_seq))
+    factors = sorted(pair.factors)
+    at = {f: k for k, f in enumerate(factors)}
+    word = tuple(at[f] for f in pair.word)
+    return _reducing_subset(word, _masks(factors), pair.root, pair.target) is None
 
 
 def reduce_to_irreducible_pair(
@@ -200,100 +239,49 @@ def reduce_to_irreducible_pair(
     holding i and j give incomparable singletons); the lexicographic
     tie-break fixes the representative.
     """
-    if len(pair.factors) > _PAIR_CAP:
-        raise TooLarge(f"reduction capped at {_PAIR_CAP} factors")
-    base = _base(g)
-    current = pair
-    while True:
-        sub = next(_ancestor_closed_subsets(current), None)
-        if sub is None:
-            return current
-        current = CausalTreePair(
-            left=_restrict_tree(current.left, sub, base),
-            right=_restrict_tree(current.right, sub, base),
-            root=current.root,
-            target=current.target,
-        )
+    base, masks, word = _pair_word(pair, g, "reduction")
+    i, j = pair.root, pair.target
+    return _tree_pair(base.factors, i, j, _reduce(word, masks, i, j), masks)
 
 
 # -- causal graph and genus -------------------------------------------------
 
-def _tree_embeddings(tree: CausalForest, j: int) -> list[frozenset[tuple[int, Factor]]]:
-    """All valid embeddings of a causal tree as a node-factor edge set.
+def _tree_embeddings(
+    word: Word, parents: dict[int, int], masks: Sequence[int], i: int, j: int
+) -> list[frozenset[tuple[int, int]]]:
+    """All valid embeddings of a causal tree as a (node, factor) edge set.
 
     Edges: (i, f) for root children; a shared connector node drawn from
     (parent & child) - {i} for every other tree edge; (j, f*) closing on
     the earliest j-factor of the sequence.  Valid embeddings are acyclic
-    and keep the i -> j path equal to the tree's class path.
+    and keep the i -> j path equal to the tree's class path X_1..X_l.  The
+    edges always connect, and they hold the walk i, X_1, c_2, X_2, ..., X_l,
+    j through the connectors c_k of the class path; in a tree that walk is
+    the i -> j path iff it repeats no node, that is iff the c_k are distinct
+    and differ from j.
     """
-    i = tree.root
-    class_path = irreducible_path_of_tree(tree, j).factors
-    terminal = next(f for f in tree.sequence if j in f)
-    fixed: list[tuple[int, Factor]] = [(j, terminal)]
-    slots: list[tuple[Factor, Factor, tuple[int, ...]]] = []
-    for f in tree.vertices:
-        parent = tree.parent_of(f)
-        if parent is None:
-            fixed.append((i, f))
+    class_path = _class_path(word, parents, masks, j)
+    fixed = {(j, class_path[-1])}
+    slots: list[tuple[int, int]] = []
+    cands: list[list[int]] = []
+    for x, p in parents.items():
+        if p == ROOT:
+            fixed.add((i, x))
         else:
-            cands = tuple(sorted((f.node_set & parent.node_set) - {i}))
-            slots.append((f, parent, cands))
+            slots.append((x, p))
+            cands.append(sorted(_nodes(masks[x] & masks[p] & ~_bit(i))))
 
-    out: list[frozenset[tuple[int, Factor]]] = []
-
-    def build(idx: int, edges: list[tuple[int, Factor]]) -> None:
-        if idx == len(slots):
-            emb = frozenset(edges)
-            if _embedding_valid(emb, i, j, class_path):
-                out.append(emb)
-            return
-        f, parent, cands = slots[idx]
-        for c in cands:
-            edges.append((c, f))
-            edges.append((c, parent))
-            build(idx + 1, edges)
-            edges.pop()
-            edges.pop()
-
-    build(0, fixed)
+    out: list[frozenset[tuple[int, int]]] = []
+    for choice in product(*cands):
+        edges = set(fixed)
+        for (x, p), c in zip(slots, choice):
+            edges |= {(c, x), (c, p)}
+        n_nodes = len({n for n, _ in edges})
+        via = dict(zip((x for x, _ in slots), choice))
+        walk = [via[x] for x in class_path[1:]] + [j]
+        if len(edges) == n_nodes + len(parents) - 1 and len(set(walk)) == len(walk):
+            out.append(frozenset(edges))
     return out
-
-
-def _embedding_valid(
-    edges: frozenset[tuple[int, Factor]],
-    i: int,
-    j: int,
-    class_path: tuple[Factor, ...],
-) -> bool:
-    nodes = {n for n, _ in edges}
-    facts = {f for _, f in edges}
-    if len(edges) != len(nodes) + len(facts) - 1:
-        return False  # a connector collision closed a cycle
-    adj: dict = {}
-    for n, f in edges:
-        adj.setdefault(("n", n), []).append(("f", f))
-        adj.setdefault(("f", f), []).append(("n", n))
-    start, goal = ("n", i), ("n", j)
-    parent: dict = {start: None}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        if v == goal:
-            break
-        for w in adj.get(v, ()):
-            if w not in parent:
-                parent[w] = v
-                stack.append(w)
-    if goal not in parent:
-        return False
-    path_factors = []
-    v = goal
-    while v is not None:
-        if v[0] == "f":
-            path_factors.append(v[1])
-        v = parent[v]
-    path_factors.reverse()
-    return tuple(path_factors) == class_path
 
 
 @dataclass(frozen=True)
@@ -317,11 +305,13 @@ def causal_graph_props(
             each embedded tree separately.
     prop15: at least genus + 1 factors when genus >= 1.
     """
-    base = _base(g)
-    if not is_irreducible_pair(pair):
+    base, masks, word = _pair_word(pair, g, "irreducibility search")
+    i, j = pair.root, pair.target
+    if _reducing_subset(word, masks, i, j) is not None:
         raise NotIrreducible("causal graph props need an irreducible pair")
-    left_embs = _tree_embeddings(pair.left, pair.target)
-    right_embs = _tree_embeddings(pair.right, pair.target)
+    bwd, fwd = _readings(word, masks, i)
+    left_embs = _tree_embeddings(word[::-1], bwd, masks, i, j)
+    right_embs = _tree_embeddings(word, fwd, masks, i, j)
     if not left_embs or not right_embs:
         raise ComputeError("pair admits no valid tree embedding")
     best = None
@@ -335,7 +325,7 @@ def causal_graph_props(
                 best = (genus, union, le, re_)
     genus, union, le, re_ = best
 
-    def over_two(edge_set: frozenset[tuple[int, Factor]]) -> int:
+    def over_two(edge_set: frozenset[tuple[int, int]]) -> int:
         deg: dict = {}
         for n, f in edge_set:
             deg[("n", n)] = deg.get(("n", n), 0) + 1
@@ -350,76 +340,76 @@ def causal_graph_props(
         prop15=(genus < 1) or (n_factors >= genus + 1),
         n_vertices=len({n for n, _ in union}),
         n_factors=n_factors,
-        edges=union,
+        edges=frozenset((n, base.factors[f]) for n, f in union),
     )
 
 
 # -- word enumeration -------------------------------------------------------
 
 def _creeping_double_words(
-    factors: Sequence[Factor], i: int
-) -> Iterator[tuple[Factor, ...]]:
-    """Words using each factor exactly twice whose two readings creep.
+    ids: Sequence[int], masks: Sequence[int], i: int
+) -> Iterator[Word]:
+    """Words using each factor of ``ids`` exactly twice whose two readings creep.
 
-    Letters are placed left to right over the sorted pool, so words come
-    out in lexicographic order of pool index.  A reading creeps iff no
-    factor gets the "isolated" outcome of ``attach_decision`` at its first
-    occurrence in that reading, and that outcome depends only on the
-    factors read before it:
+    Letters are placed left to right over the sorted ids, so words come out
+    in lexicographic order.  A reading creeps iff no factor gets the
+    ISOLATED outcome of ``_attach`` at its first occurrence in that reading,
+    and that outcome depends only on the set of factors read before it:
 
     - forward, a factor is first read at its first occurrence, after the
-      factors already started; it is not isolated iff it holds i or meets
-      one of them;
+      factors already started;
     - backward, a factor is first read at its last occurrence (its second
-      here), after the factors with a letter still to come; it is not
-      isolated iff it holds i or meets one of them.
+      here), after the factors with a letter still to come.
 
     Both tests are decided when the letter is placed, so failing prefixes
-    are pruned at once, and the words yielded are exactly those whose
-    ``build_causal_forest`` is a tree on both readings.
+    are pruned at once, and the words yielded are exactly those whose two
+    readings are trees.
     """
-    pool = sorted(factors)
-    masks = [sum(1 << v for v in f.nodes) for f in pool]
-    holds_i = [i in f for f in pool]
+    pool = sorted(ids)
     n = 2 * len(pool)
-    remaining = [2] * len(pool)
+    ibit = _bit(i)
+    started: dict[int, None] = {}  # factors with a letter placed
+    to_come = dict.fromkeys(pool)  # factors with a letter still to place
     word: list[int] = []
 
-    def step(started: int) -> Iterator[tuple[Factor, ...]]:
+    def step() -> Iterator[Word]:
         if len(word) == n:
-            yield tuple(pool[k] for k in word)
+            yield tuple(word)
             return
-        for k, left in enumerate(remaining):
-            if left == 0:
+        for x in pool:
+            if x not in to_come:
                 continue
-            if left == 2:
-                if not (holds_i[k] or masks[k] & started):
+            first = x not in started
+            if first:
+                if _attach(started, x, masks, ibit) == ISOLATED:
                     continue
-            elif not holds_i[k]:
-                to_come = 0
-                for m, r in enumerate(remaining):
-                    if r and m != k:
-                        to_come |= masks[m]
-                if not masks[k] & to_come:
+                started[x] = None
+            else:
+                del to_come[x]
+                if _attach(to_come, x, masks, ibit) == ISOLATED:
+                    to_come[x] = None
                     continue
-            remaining[k] = left - 1
-            word.append(k)
-            yield from step(started | masks[k])
+            word.append(x)
+            yield from step()
             word.pop()
-            remaining[k] = left
+            if first:
+                del started[x]
+            else:
+                to_come[x] = None
 
-    yield from step(0)
+    yield from step()
 
 
-def _j_window(word: Sequence[Factor], j: int) -> tuple[int, int] | None:
-    """(first, last) 1-based positions whose factor contains j."""
-    lo = hi = None
-    for p, f in enumerate(word, start=1):
-        if j in f:
-            hi = p
-            if lo is None:
-                lo = p
-    return None if lo is None else (lo, hi)
+def _psi(
+    word: Word, masks: Sequence[int], i: int, j: int
+) -> Iterator[tuple[Word, int]]:
+    """(word, marker) of every marked word realizing the tree pair of ``word``."""
+    want = _signature(word, masks, i)
+    for w in _creeping_double_words(set(word), masks, i):
+        window = _j_window(w, masks, j)
+        if window is not None and _signature(w, masks, i) == want:
+            for r in range(*window):
+                yield w, r
 
 
 def enumerate_psi(
@@ -430,35 +420,21 @@ def enumerate_psi(
     Each factor appears exactly twice, both readings creep, the trees
     match the pair's, and the marker sits inside the j-occurrence window.
     """
-    if len(pair.factors) > _PAIR_CAP:
-        raise TooLarge(f"ordering enumeration capped at {_PAIR_CAP} factors")
-    base = _base(g)
-    want = pair.signature()
+    base, masks, word = _pair_word(pair, g, "ordering enumeration")
     i, j = pair.root, pair.target
-    out: list[FactorSequence] = []
-    for word in _creeping_double_words(pair.factors, i):
-        bwd, fwd = _readings(base, i, word)
-        if (bwd.signature(), fwd.signature()) != want:
-            continue
-        window = _j_window(word, j)
-        if window is None:
-            continue
-        for r in range(window[0], window[1]):
-            out.append(FactorSequence(root=i, factors=word, target=j, marker=r))
-    return out
-
-
-def _single_orderings(tree: CausalForest, base: FactorGraph) -> int:
-    """Creeping single-occurrence sequences with exactly this tree."""
-    want = tree.signature()
-    count = 0
-    for perm in permutations(tree.vertices):
-        forest = build_causal_forest(
-            base, FactorSequence(root=tree.root, factors=perm)
+    return [
+        FactorSequence(
+            root=i, factors=tuple(base.factors[x] for x in w), target=j, marker=r
         )
-        if forest.is_tree and forest.signature() == want:
-            count += 1
-    return count
+        for w, r in _psi(word, masks, i, j)
+    ]
+
+
+def _single_orderings(tree: dict[int, int], masks: Sequence[int], i: int) -> int:
+    """Creeping single-occurrence sequences with exactly this tree."""
+    want = sorted(tree.items())
+    forests = (_forest(perm, masks, i) for perm in permutations(tree))
+    return sum(1 for forest in forests if sorted(forest.items()) == want)
 
 
 @dataclass(frozen=True)
@@ -476,12 +452,12 @@ def count_orderings(
     Checks the packing inequality |Psi| <= (2l)!/(l!)^2 N(Q_L) N(Q_R) and
     raises ComputeError if it fails.
     """
-    if len(pair.factors) > _PAIR_CAP:
-        raise TooLarge(f"ordering counts capped at {_PAIR_CAP} factors")
-    base = _base(g)
-    n_left = _single_orderings(pair.left, base)
-    n_right = _single_orderings(pair.right, base)
-    n_psi = len(enumerate_psi(pair, base))
+    _, masks, word = _pair_word(pair, g, "ordering counts")
+    i = pair.root
+    bwd, fwd = _readings(word, masks, i)
+    n_left = _single_orderings(bwd, masks, i)
+    n_right = _single_orderings(fwd, masks, i)
+    n_psi = sum(1 for _ in _psi(word, masks, i, pair.target))
     ell = len(pair.factors)
     cap = math.comb(2 * ell, ell) * n_left * n_right
     if n_psi > cap:
@@ -499,25 +475,88 @@ class ForbiddenSets:
     y_sets: tuple[frozenset[Factor], ...]
 
 
-def _validate_psi(base: FactorGraph, psi: FactorSequence) -> None:
+def _psi_word(
+    g: FactorGraph | WeightedFactorGraph, psi: FactorSequence
+) -> tuple[FactorGraph, tuple[int, ...], Word]:
+    """(graph, masks, word) of a valid marked word; InvalidOrdering if not."""
     if psi.target is None or psi.marker is None:
         raise InvalidOrdering("ordering needs target and marker")
-    _check_factors(base, psi.factors)
-    counts: dict[Factor, int] = {}
-    for f in psi.factors:
-        counts[f] = counts.get(f, 0) + 1
-    if any(c != 2 for c in counts.values()):
+    base, word = _check_sequence(g, psi)
+    if any(c != 2 for c in Counter(word).values()):
         raise InvalidOrdering("ordering must use each factor exactly twice")
-    window = _j_window(psi.factors, psi.target)
+    masks = _masks(base.factors)
+    window = _j_window(word, masks, psi.target)
     if window is None:
         raise InvalidOrdering("target appears in no factor")
     if not window[0] <= psi.marker < window[1]:
         raise InvalidOrdering(
             f"marker {psi.marker} outside window [{window[0]}, {window[1]})"
         )
-    bwd, fwd = _readings(base, psi.root, psi.factors)
-    if not (fwd.is_tree and bwd.is_tree):
+    if any(ISOLATED in t.values() for t in _readings(word, masks, psi.root)):
         raise InvalidOrdering("both readings must be creeping")
+    return base, masks, word
+
+
+def _forbidden(
+    word: Word, masks: Sequence[int], i: int, j: int, variant: str
+) -> tuple[list[int], list[set[int]]]:
+    """Node masks and factor id sets forbidden at slots 0..len(word)."""
+    n = len(word)
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for p, x in enumerate(word, start=1):
+        first.setdefault(x, p)
+        last[x] = p
+    minj, maxj = _j_window(word, masks, j)
+    v_masks = []
+    if variant == "standard":
+        for k in range(n + 1):
+            prefix_nodes = suffix_nodes = out = 0
+            for x in word[:k]:
+                prefix_nodes |= masks[x]
+            for x in word[k:]:
+                suffix_nodes |= masks[x]
+            for x, p in first.items():
+                if p > k + 1:
+                    out |= masks[x] & ~prefix_nodes
+            for x, p in last.items():
+                if p < k:
+                    out |= masks[x] & ~suffix_nodes
+            out &= ~_bit(i)
+            v_masks.append(out & ~_bit(j) if minj <= k < maxj else out | _bit(j))
+    elif variant == "primed":
+        bwd, fwd = _readings(word, masks, i)
+        gamma_r = _class_path(word, fwd, masks, j)
+        gamma_l = _class_path(word[::-1], bwd, masks, j)
+        # first appearances increase along the right path, last appearances
+        # decrease along the left one; sentinels close the outer brackets
+        min_r = [0] + [first[x] for x in gamma_r]
+        max_l = [n + 1] + [last[x] for x in gamma_l]
+        masks_r = [masks[x] for x in gamma_r]
+        masks_l = [masks[x] for x in gamma_l]
+        for k in range(n + 1):
+            if k < minj:
+                p = 0
+                while p + 1 < len(min_r) and min_r[p + 1] <= k:
+                    p += 1
+                v_masks.append(_slot_mask(masks_r, j, p))
+            elif k < maxj:
+                v_masks.append(0)
+            else:
+                p = 0
+                while p + 1 < len(max_l) and max_l[p + 1] > k:
+                    p += 1
+                v_masks.append(_slot_mask(masks_l, j, p))
+    else:
+        raise InvalidParams(f"unknown variant {variant!r}")
+
+    y_sets = []
+    for k, forb in enumerate(v_masks):
+        ys = {x for x, m in enumerate(masks) if m & forb}
+        ys |= {x for x in first if first[x] > k}
+        ys |= {x for x in last if last[x] <= k}
+        y_sets.append(ys)
+    return v_masks, y_sets
 
 
 def forbidden_sets_pair(
@@ -536,113 +575,12 @@ def forbidden_sets_pair(
     collect the factor set from everything touching the forbidden nodes
     plus factors wholly in the future or wholly in the past of the slot.
     """
-    base = _base(g)
-    _validate_psi(base, psi)
-    word = psi.factors
-    i, j = psi.root, psi.target
-    n = len(word)
-    first, last = _first_last(word, start=1)
-    minj, maxj = _j_window(word, j)
-
-    if variant == "standard":
-        v_sets = tuple(
-            _v_standard(word, i, j, k, first, last, minj, maxj)
-            for k in range(n + 1)
-        )
-    elif variant == "primed":
-        v_sets = _v_primed(base, word, i, j, first, last, minj, maxj)
-    else:
-        raise InvalidParams(f"unknown variant {variant!r}")
-
-    y_sets = []
-    for k in range(n + 1):
-        forb = v_sets[k]
-        ys = {f for f in base.factors if f.node_set & forb}
-        ys |= {f for f in first if first[f] > k}
-        ys |= {f for f in last if last[f] <= k}
-        y_sets.append(frozenset(ys))
-    return ForbiddenSets(v_sets=v_sets, y_sets=tuple(y_sets))
-
-
-def _v_standard(
-    word: tuple[Factor, ...],
-    i: int,
-    j: int,
-    k: int,
-    first: dict[Factor, int],
-    last: dict[Factor, int],
-    minj: int,
-    maxj: int,
-) -> frozenset[int]:
-    prefix_nodes: set[int] = set()
-    for f in word[:k]:
-        prefix_nodes |= f.node_set
-    suffix_nodes: set[int] = set()
-    for f in word[k:]:
-        suffix_nodes |= f.node_set
-    out: set[int] = set()
-    for f, p in first.items():
-        if p > k + 1:
-            out |= f.node_set - prefix_nodes
-    for f, p in last.items():
-        if p < k:
-            out |= f.node_set - suffix_nodes
-    out.discard(i)
-    if k < minj or k >= maxj:
-        out.add(j)
-    else:
-        out.discard(j)
-    return frozenset(out)
-
-
-def _v_primed(
-    base: FactorGraph,
-    word: tuple[Factor, ...],
-    i: int,
-    j: int,
-    first: dict[Factor, int],
-    last: dict[Factor, int],
-    minj: int,
-    maxj: int,
-) -> tuple[frozenset[int], ...]:
-    n = len(word)
-    bwd, fwd = _readings(base, i, word)
-    gamma_r = irreducible_path_of_tree(fwd, j)
-    gamma_l = irreducible_path_of_tree(bwd, j)
-    # first appearances increase along the right path, last appearances
-    # decrease along the left one; sentinels close the outer brackets
-    min_r = [0] + [first[f] for f in gamma_r.factors]
-    max_l = [n + 1] + [last[f] for f in gamma_l.factors]
-    out = []
-    for k in range(n + 1):
-        if k < minj:
-            p = 0
-            while p + 1 < len(min_r) and min_r[p + 1] <= k:
-                p += 1
-            out.append(forbidden_vertices_single(gamma_r, p))
-        elif k < maxj:
-            out.append(frozenset())
-        else:
-            p = 0
-            while p + 1 < len(max_l) and max_l[p + 1] > k:
-                p += 1
-            out.append(forbidden_vertices_single(gamma_l, p))
-    return tuple(out)
-
-
-def _canonical_slots(word: Sequence[Factor]) -> dict[int, int]:
-    """Slot assignment for middle occurrences (0-based positions).
-
-    The skeleton keeps each factor's first and last occurrence; a middle
-    occurrence's slot is the number of skeleton positions before it.
-    """
-    first, last = _first_last(word)
-    skeleton = [p for p, f in enumerate(word) if p == first[f] or p == last[f]]
-    slots: dict[int, int] = {}
-    for p, f in enumerate(word):
-        if p != first[f] and p != last[f]:
-            slots[p] = sum(1 for s in skeleton if s < p)
-    return slots
+    base, masks, word = _psi_word(g, psi)
+    v_masks, y_sets = _forbidden(word, masks, psi.root, psi.target, variant)
+    return ForbiddenSets(
+        v_sets=tuple(_nodes(m) for m in v_masks),
+        y_sets=tuple(frozenset(base.factors[x] for x in ys) for ys in y_sets),
+    )
 
 
 def insertion_consistency_check(
@@ -658,26 +596,21 @@ def insertion_consistency_check(
     decomposition of longer words unambiguous; this is the operational
     statement of that role.
     """
-    base = _base(g)
-    sets = forbidden_sets_pair(base, psi, variant=variant)
-    word = psi.factors
+    _, masks, word = _psi_word(g, psi)
     i = psi.root
-    bwd, fwd = _readings(base, i, word)
-    want = (bwd.signature(), fwd.signature())
-    for k, ys in enumerate(sets.y_sets):
+    _, y_sets = _forbidden(word, masks, i, psi.target, variant)
+    # an isolated factor shows in a signature, so equal ones mean equal trees
+    want = _signature(word, masks, i)
+    for k, ys in enumerate(y_sets):
         for y in ys:
-            new = word[:k] + (y,) + word[k:]
-            nb, nf = _readings(base, i, new)
-            if not (nf.is_tree and nb.is_tree):
-                continue
-            if (nb.signature(), nf.signature()) != want:
-                continue
-            first, last = _first_last(new)
-            skeleton = tuple(
-                f for p, f in enumerate(new) if p == first[f] or p == last[f]
-            )
-            if skeleton == word and _canonical_slots(new).get(k) == k:
-                return False
+            # the skeleton keeps each factor's first and last letter, and a
+            # middle letter's canonical slot counts the skeleton letters
+            # before it; every factor of psi appears twice, so the skeleton
+            # stays psi and the new letter sits at its own slot k exactly
+            # when y occurs both before and after position k
+            if y in word[:k] and y in word[k:]:
+                if _signature(word[:k] + (y,) + word[k:], masks, i) == want:
+                    return False
     return True
 
 
@@ -695,37 +628,31 @@ class Theorem4Report:
 def _pair_coefficients(
     g: WeightedFactorGraph, i: int, j: int, l_max: int
 ) -> tuple[tuple[int, float], ...]:
-    base = g.graph
-    factors = base.factors
+    masks = _masks(g.factors)
+    ibit, jbit = _bit(i), _bit(j)
     coeffs: dict[int, float] = {}
-    irr_cache: dict[tuple, bool] = {}
+    irreducible: dict[tuple, bool] = {}
     for size in range(1, l_max + 1):
-        for combo in combinations(factors, size):
-            if not any(i in f for f in combo):
+        for combo in combinations(range(len(masks)), size):
+            if not any(masks[x] & ibit for x in combo):
                 continue
-            if not any(j in f for f in combo):
+            if not any(masks[x] & jbit for x in combo):
                 continue
             weight = 1.0
-            for f in combo:
-                weight *= (2.0 * g.weight_of(f)) ** 2
+            for x in combo:
+                weight *= (2.0 * g.weights[x]) ** 2
             n = 2 * size
             subtotal = 0.0
-            for word in _creeping_double_words(combo, i):
-                bwd, fwd = _readings(base, i, word)
-                sig = (bwd.signature(), fwd.signature())
-                irr = irr_cache.get(sig)
-                if irr is None:
-                    pair = CausalTreePair(left=bwd, right=fwd, root=i, target=j)
-                    irr = is_irreducible_pair(pair)
-                    irr_cache[sig] = irr
-                if not irr:
+            for word in _creeping_double_words(combo, masks, i):
+                sig = _signature(word, masks, i)
+                if sig not in irreducible:
+                    irreducible[sig] = _reducing_subset(word, masks, i, j) is None
+                if not irreducible[sig]:
                     continue
-                window = _j_window(word, j)
-                if window is None:
-                    continue
+                lo, hi = _j_window(word, masks, j)
                 subtotal += sum(
                     1.0 / (math.factorial(r) * math.factorial(n - r))
-                    for r in range(window[0], window[1])
+                    for r in range(lo, hi)
                 )
             if subtotal:
                 coeffs[n] = coeffs.get(n, 0.0) + subtotal * weight
@@ -745,8 +672,12 @@ def theorem4_coefficients(
     """
     if i == j:
         raise SameNode(f"pair endpoints coincide at node {i}")
+    if not 0 <= i < g.n_nodes or not 0 <= j < g.n_nodes:
+        raise InvalidParams(f"nodes ({i}, {j}) outside 0..{g.n_nodes - 1}")
     if l_max is None:
         l_max = len(g.factors)
+    if l_max < 1:
+        raise InvalidParams(f"l_max must be >= 1, got {l_max}")
     if l_max > 6 or len(g.factors) > 12:
         raise TooLarge("brute force capped at l_max <= 6, |F| <= 12")
     return dict(_pair_coefficients(g, i, j, l_max))
@@ -793,6 +724,11 @@ def random_irreducible_pair(
     resulting pair.  Reductions of realizable pairs stay realizable, so
     the result is always a valid irreducible pair.
     """
+    if n_nodes < 3 or max_factors < 1 or q_max < 2 or seed < 0:
+        raise InvalidParams(
+            "need n_nodes >= 3, max_factors >= 1, q_max >= 2 and seed >= 0, got "
+            f"{n_nodes}, {max_factors}, {q_max} and {seed}"
+        )
     rng = np.random.default_rng(seed)
     for _attempt in range(200):
         n = int(rng.integers(3, n_nodes + 1))
@@ -813,22 +749,17 @@ def random_irreducible_pair(
                 cand = Factor(nodes=nodes, flavor=flavor)
             factors.add(cand)
         g = FactorGraph(n_nodes=n, factors=tuple(sorted(factors)))
+        masks = _masks(g.factors)
         i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
         size = int(rng.integers(1, min(max_factors, len(g.factors)) + 1))
-        subset = tuple(
-            sorted(
-                g.factors[int(x)]
-                for x in rng.choice(len(g.factors), size=size, replace=False)
-            )
-        )
-        if not any(i in f for f in subset) or not any(j in f for f in subset):
+        subset = [int(x) for x in rng.choice(len(g.factors), size=size, replace=False)]
+        if not any(masks[x] & _bit(i) for x in subset):
             continue
-        words = list(_creeping_double_words(subset, i))
+        if not any(masks[x] & _bit(j) for x in subset):
+            continue
+        words = list(_creeping_double_words(subset, masks, i))
         if not words:
             continue
-        word = words[int(rng.integers(0, len(words)))]
-        pair = build_causal_tree_pair(
-            g, FactorSequence(root=i, factors=word, target=j)
-        )
-        return reduce_to_irreducible_pair(pair, g), g
+        word = _reduce(words[int(rng.integers(0, len(words)))], masks, i, j)
+        return _tree_pair(g.factors, i, j, word, masks), g
     raise InvalidParams("could not sample a pair; widen the parameters")

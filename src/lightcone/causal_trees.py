@@ -7,6 +7,15 @@ intersecting predecessor; failing all that it starts its own component.
 Components never merge, so the term a sequence contributes survives iff the
 forest is connected ("creeping").  The class of a creeping sequence is the
 tree path from i to the earliest factor containing the target j.
+
+Inside this module and ``causal_pairs`` a factor is an int id, its index
+into the graph's ``factors``, and a node set is an int bitmask with bit v
+for node v; ``masks[x]`` is the node mask of factor x.  A graph keeps its
+factors sorted, so id order is ``Factor`` order.  A forest is a dict from
+each distinct id, in first-occurrence order, to its parent: another id,
+ROOT or ISOLATED.  ``_attach`` is the rule above; every forest, reading and
+walk of the layer goes through it.  ``Factor`` objects are read and built
+only by the public functions.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 import scipy.integrate
@@ -28,7 +37,7 @@ from .errors import (
     TooLarge,
     UnknownFactor,
 )
-from .factor_graph import Factor, FactorGraph, WeightedFactorGraph, as_weighted
+from .factor_graph import Factor, FactorGraph, WeightedFactorGraph
 from .path_bounds import IrreduciblePath
 
 __all__ = [
@@ -45,6 +54,7 @@ __all__ = [
 
 ROOT = -1  # parent sentinel: attached to node i
 ISOLATED = -2  # parent sentinel: starts its own component
+REPEAT = -3  # outcome for a factor read before: the forest does not change
 
 
 @dataclass(frozen=True)
@@ -67,24 +77,70 @@ class FactorSequence:
         return len(self.factors)
 
 
+def _masks(factors: Iterable[Factor]) -> tuple[int, ...]:
+    return tuple(sum(1 << v for v in f.nodes) for f in factors)
+
+
+def _nodes(mask: int) -> frozenset[int]:
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _bit(node: int) -> int:
+    """Mask of one node; 0 for a negative node, which no factor holds."""
+    return 1 << node if node >= 0 else 0
+
+
+def _ids(base: FactorGraph, factors: Sequence[Factor]) -> tuple[int, ...]:
+    """Ids of factors; UnknownFactor for the first one missing from the graph."""
+    known = base._factor_positions
+    for f in factors:
+        if f not in known:
+            raise UnknownFactor(f"factor {f.nodes} flavor {f.flavor} not in graph")
+    return tuple(known[f] for f in factors)
+
+
+def _attach(seen: Collection[int], x: int, masks: Sequence[int], root_bit: int) -> int:
+    """Where factor x attaches when read after the factors ``seen``, in order.
+
+    REPEAT when x is among them; ROOT when x holds the root node (whose
+    mask is ``root_bit``); else the earliest of them that meets x; else
+    ISOLATED.
+    """
+    if x in seen:
+        return REPEAT
+    mask = masks[x]
+    if mask & root_bit:
+        return ROOT
+    for p in seen:
+        if masks[p] & mask:
+            return p
+    return ISOLATED
+
+
+def _forest(word: Iterable[int], masks: Sequence[int], root: int) -> dict[int, int]:
+    """Parent of each distinct factor of ``word``, in first-occurrence order."""
+    parents: dict[int, int] = {}
+    root_bit = _bit(root)
+    for x in word:
+        p = _attach(parents, x, masks, root_bit)
+        if p != REPEAT:
+            parents[x] = p
+    return parents
+
+
 def attach_decision(
     predecessors: Sequence[Factor], x: Factor, root: int
 ) -> tuple[str, int]:
     """Where does x attach, given the factors already seen (in order)?
 
     Returns one of ("repeat", first occurrence index), ("root", -1),
-    ("factor", index of earliest intersecting predecessor), ("isolated", -1).
+    ("factor", index of earliest intersecting predecessor), ("isolated", -2).
     """
-    for m, prev in enumerate(predecessors):
-        if prev == x:
-            return ("repeat", m)
-    if root in x:
-        return ("root", ROOT)
-    xs = x.node_set
-    for m, prev in enumerate(predecessors):
-        if xs & prev.node_set:
-            return ("factor", m)
-    return ("isolated", ISOLATED)
+    letters = (*predecessors, x)
+    ids = [letters.index(f) for f in letters]  # a factor's id is its first position
+    p = _attach(ids[:-1], ids[-1], _masks(letters), _bit(root))
+    kind = {REPEAT: "repeat", ROOT: "root", ISOLATED: "isolated"}.get(p, "factor")
+    return (kind, ids[-1] if p == REPEAT else p)
 
 
 @dataclass(frozen=True)
@@ -111,22 +167,23 @@ class CausalForest:
     def is_tree(self) -> bool:
         return self.n_components == 1
 
+    def _index(self, f: Factor) -> int:
+        try:
+            return self.vertices.index(f)
+        except ValueError:
+            raise UnknownFactor(
+                f"factor {f.nodes} flavor {f.flavor} not in the forest"
+            ) from None
+
     def parent_of(self, f: Factor) -> Factor | None:
         """Parent factor, or None when attached to i (or isolated)."""
-        p = self.parents[self.vertices.index(f)]
+        p = self.parents[self._index(f)]
         return None if p in (ROOT, ISOLATED) else self.vertices[p]
 
     def children_of(self, v: Factor | None) -> tuple[Factor, ...]:
         """Children of a factor vertex, or of i when v is None."""
-        if v is None:
-            want = ROOT
-            return tuple(
-                f for f, p in zip(self.vertices, self.parents) if p == want
-            )
-        idx = self.vertices.index(v)
-        return tuple(
-            f for f, p in zip(self.vertices, self.parents) if p == idx
-        )
+        want = ROOT if v is None else self._index(v)
+        return tuple(f for f, p in zip(self.vertices, self.parents) if p == want)
 
     def signature(self) -> frozenset:
         """Edge set with factor identities; equal trees compare equal."""
@@ -142,92 +199,114 @@ class CausalForest:
         """Degree of a vertex in the abstract tree (None = the root i)."""
         if v is None:
             return sum(1 for p in self.parents if p == ROOT)
-        idx = self.vertices.index(v)
+        idx = self._index(v)
         d = sum(1 for p in self.parents if p == idx)
         if self.parents[idx] != ISOLATED:
             d += 1
         return d
 
 
-def _check_factors(base: FactorGraph, factors: Iterable[Factor]) -> None:
-    """Raise UnknownFactor for the first factor missing from the graph."""
-    known = base._factor_positions
-    for f in factors:
-        if f not in known:
-            raise UnknownFactor(f"factor {f.nodes} flavor {f.flavor} not in graph")
+def _causal_forest(
+    factors: Sequence[Factor], root: int, word: Sequence[int], parents: dict[int, int]
+) -> CausalForest:
+    """The public forest of ``word``, whose ids index ``factors``."""
+    at = {x: k for k, x in enumerate(parents)}
+    return CausalForest(
+        root=root,
+        sequence=tuple(factors[x] for x in word),
+        vertices=tuple(factors[x] for x in parents),
+        parents=tuple(at.get(p, p) for p in parents.values()),
+    )
 
 
-def _check_sequence(g: FactorGraph | WeightedFactorGraph, seq: FactorSequence) -> FactorGraph:
+def _check_sequence(
+    g: FactorGraph | WeightedFactorGraph, seq: FactorSequence
+) -> tuple[FactorGraph, tuple[int, ...]]:
+    """The graph and the ids of a sequence whose factors and root it holds."""
     base = g.graph if isinstance(g, WeightedFactorGraph) else g
-    _check_factors(base, seq.factors)
+    word = _ids(base, seq.factors)
     if not 0 <= seq.root < base.n_nodes:
         raise UnknownFactor(f"root node {seq.root} outside graph")
-    return base
+    return base, word
 
 
 def build_causal_forest(
     g: FactorGraph | WeightedFactorGraph, seq: FactorSequence
 ) -> CausalForest:
-    _check_sequence(g, seq)
-    vertices: list[Factor] = []
-    parents: list[int] = []
-    for x in seq.factors:
-        kind, where = attach_decision(vertices, x, seq.root)
-        if kind == "repeat":
-            continue
-        vertices.append(x)
-        parents.append(where if kind == "factor" else (ROOT if kind == "root" else ISOLATED))
-    return CausalForest(
-        root=seq.root,
-        sequence=seq.factors,
-        vertices=tuple(vertices),
-        parents=tuple(parents),
-    )
+    base, word = _check_sequence(g, seq)
+    parents = _forest(word, _masks(base.factors), seq.root)
+    return _causal_forest(base.factors, seq.root, word, parents)
 
 
 def is_creeping(g: FactorGraph | WeightedFactorGraph, seq: FactorSequence) -> bool:
     return build_causal_forest(g, seq).is_tree
 
 
-def irreducible_path_of_tree(tree: CausalForest, j: int) -> IrreduciblePath:
-    """Tree path from i to the earliest factor of the sequence containing j.
+def _class_path(
+    word: Sequence[int], parents: dict[int, int], masks: Sequence[int], j: int
+) -> tuple[int, ...] | None:
+    """Tree path from i to the earliest factor of ``word`` holding j, i's end
+    first; None when no factor holds j.
 
     Parents always occur earlier in the sequence than children, so no
     ancestor of that factor contains j, and any factor containing i hangs
-    directly off i; the extracted factor list is an irreducible path.
+    directly off i; the path is irreducible.
     """
+    x = next((x for x in word if masks[x] & _bit(j)), None)
+    if x is None:
+        return None
+    chain = []
+    while x != ROOT:
+        chain.append(x)
+        x = parents[x]
+    return tuple(reversed(chain))
+
+
+def _class_of(
+    word: Sequence[int], masks: Sequence[int], i: int, j: int
+) -> tuple[int, ...] | None:
+    """Class path of a sequence; None when not creeping or j never appears."""
+    parents = _forest(word, masks, i)
+    if ISOLATED in parents.values():
+        return None
+    return _class_path(word, parents, masks, j)
+
+
+def irreducible_path_of_tree(tree: CausalForest, j: int) -> IrreduciblePath:
+    """Tree path from i to the earliest factor of the sequence containing j."""
     if not tree.is_tree:
         raise InvalidParams("path extraction requires a connected causal tree")
-    terminal = None
-    for f in tree.sequence:
-        if j in f:
-            terminal = f
-            break
-    if terminal is None:
+    at = {f: k for k, f in enumerate(tree.vertices)}
+    word = [at[f] for f in tree.sequence]
+    chain = _class_path(word, dict(enumerate(tree.parents)), _masks(tree.vertices), j)
+    if chain is None:
         raise TargetAbsent(f"node {j} appears in no factor of the sequence")
-    chain: list[Factor] = []
-    idx = tree.vertices.index(terminal)
-    while True:
-        chain.append(tree.vertices[idx])
-        p = tree.parents[idx]
-        if p == ROOT:
-            break
-        idx = p
-    chain.reverse()
-    return IrreduciblePath(source=tree.root, target=j, factors=tuple(chain))
+    factors = tuple(tree.vertices[x] for x in chain)
+    return IrreduciblePath(source=tree.root, target=j, factors=factors)
 
 
 def sequence_class(
     g: FactorGraph | WeightedFactorGraph, seq: FactorSequence, j: int
 ) -> IrreduciblePath | None:
     """Class of a sequence: None when not creeping or j never appears."""
-    forest = build_causal_forest(g, seq)
-    if not forest.is_tree:
+    base, word = _check_sequence(g, seq)
+    chain = _class_of(word, _masks(base.factors), seq.root, j)
+    if chain is None:
         return None
-    try:
-        return irreducible_path_of_tree(forest, j)
-    except TargetAbsent:
-        return None
+    factors = tuple(base.factors[x] for x in chain)
+    return IrreduciblePath(source=seq.root, target=j, factors=factors)
+
+
+def _slot_mask(path_masks: Sequence[int], j: int, k: int) -> int:
+    """Node mask excluded from slot k of the class sum of a path (given by
+    the masks of its factors): {j} at the last slot, else everything touched
+    by factors k+2 onward."""
+    if k == len(path_masks) - 1:
+        return _bit(j)
+    mask = 0
+    for m in path_masks[k + 1:]:  # X_{k+2}..X_l, zero-based slice
+        mask |= m
+    return mask
 
 
 def forbidden_vertices_single(path: IrreduciblePath, k: int) -> frozenset[int]:
@@ -238,12 +317,7 @@ def forbidden_vertices_single(path: IrreduciblePath, k: int) -> frozenset[int]:
     ell = len(path)
     if not 0 <= k <= ell - 1:
         raise IndexOutOfRange(f"slot {k} outside 0..{ell - 1}")
-    if k == ell - 1:
-        return frozenset({path.target})
-    nodes: set[int] = set()
-    for f in path.factors[k + 1:]:  # X_{k+2}..X_l, zero-based slice
-        nodes |= f.node_set
-    return frozenset(nodes)
+    return _nodes(_slot_mask(_masks(path.factors), path.target, k))
 
 
 def lemma4_bijection_check(
@@ -263,28 +337,25 @@ def lemma4_bijection_check(
     base = g.graph if isinstance(g, WeightedFactorGraph) else g
     if len(base.factors) > 6 or n_max > 6:
         raise TooLarge("bijection check capped at |F| <= 6, n_max <= 6")
-    factors = base.factors
+    masks = _masks(base.factors)
+    chain = _ids(base, path.factors)
     i, j = path.source, path.target
-    ell = len(path)
-    slot_allowed: list[tuple[Factor, ...]] = []
-    for k in range(ell):
-        forbidden = forbidden_vertices_single(path, k)
-        slot_allowed.append(
-            tuple(f for f in factors if not (f.node_set & forbidden))
-        )
-    slot_allowed.append(factors)  # slot l: unrestricted
+    ell = len(chain)
+    ids = range(len(masks))
+    path_masks = [masks[x] for x in chain]
+    slot_allowed = [
+        tuple(x for x in ids if not masks[x] & _slot_mask(path_masks, j, k))
+        for k in range(ell)
+    ]
+    slot_allowed.append(tuple(ids))  # slot l: unrestricted
 
     for n in range(n_max + 1):
         lhs = {
             seq
-            for seq in product(factors, repeat=n)
-            if (
-                cls := sequence_class(base, FactorSequence(root=i, factors=seq), j)
-            )
-            is not None
-            and cls.factors == path.factors
+            for seq in product(ids, repeat=n)
+            if _class_of(seq, masks, i, j) == chain
         }
-        rhs: set[tuple[Factor, ...]] = set()
+        rhs: set[tuple[int, ...]] = set()
         count = 0
         if n >= ell:
             budget = n - ell
@@ -293,15 +364,14 @@ def lemma4_bijection_check(
                     product(slot_allowed[k], repeat=m) for k, m in enumerate(comp)
                 ]
                 for fills in product(*pools):
-                    seq: list[Factor] = []
+                    seq: list[int] = []
                     for k in range(ell):
                         seq.extend(fills[k])
-                        seq.append(path.factors[k])
+                        seq.append(chain[k])
                     seq.extend(fills[ell])
-                    tseq = tuple(seq)
-                    if is_creeping(base, FactorSequence(root=i, factors=tseq)):
+                    if ISOLATED not in _forest(seq, masks, i).values():
                         count += 1
-                        rhs.add(tseq)
+                        rhs.add(tuple(seq))
         if len(rhs) != count:
             raise ComputeError("slotted decomposition generated a duplicate")
         if lhs != rhs:

@@ -1,4 +1,15 @@
+import os
 import re
+
+# One BLAS thread for the whole suite, set before anything imports numpy:
+# the Tier-1 command leaves OpenBLAS at one thread per core, so a second
+# numpy process beside the suite oversubscribes the machine and the
+# wall-clock gates of c02 and c05 fail.  A pool size set explicitly, through
+# a pool variable or LIGHTCONE_THREADS, wins.
+_POOLS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in (*_POOLS, "LIGHTCONE_THREADS")):
+    for var in _POOLS:
+        os.environ[var] = "1"
 
 _ACCEPTANCE = re.compile(r"test_c(\d+)_(\w+)")
 

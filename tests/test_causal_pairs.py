@@ -311,7 +311,7 @@ class TestCountOrderings:
 
     def test_packing_guard_typed(self, monkeypatch):
         g, word, pair = genus1_q3()
-        monkeypatch.setattr(causal_pairs, "_single_orderings", lambda tree, base: 0)
+        monkeypatch.setattr(causal_pairs, "_single_orderings", lambda *args: 0)
         with pytest.raises(ComputeError, match="packing inequality"):
             count_orderings(pair, g)
 
@@ -452,6 +452,19 @@ class TestTheorem4:
         with pytest.raises(SameNode):
             theorem4_bound_bruteforce(as_weighted(g), 1, 1, 0.5)
 
+    def test_endpoints_and_l_max_checked(self):
+        wg = as_weighted(chain3()[0])
+        for i, j in ((0, 7), (-1, 2)):
+            with pytest.raises(InvalidParams):
+                theorem4_coefficients(wg, i, j)
+            with pytest.raises(InvalidParams):
+                theorem4_bound_bruteforce(wg, i, j, 0.5)
+        for l_max in (0, -1):
+            with pytest.raises(InvalidParams):
+                theorem4_coefficients(wg, 0, 2, l_max=l_max)
+            with pytest.raises(InvalidParams):
+                theorem4_bound_bruteforce(wg, 0, 2, 0.5, l_max=l_max)
+
     def test_too_large(self):
         g, A, B = chain3()
         with pytest.raises(TooLarge):
@@ -510,6 +523,13 @@ class TestRandomPair:
         assert ga == gb
         assert a.signature() == b.signature()
 
+    def test_invalid_params_checked_before_sampling(self):
+        bad = [(2, 0, {}), (8, 0, {"max_factors": 0}), (8, -1, {})]
+        bad += [(8, seed, {"q_max": 1}) for seed in range(20)]
+        for n_nodes, seed, kw in bad:
+            with pytest.raises(InvalidParams):
+                random_irreducible_pair(n_nodes, seed, **kw)
+
     def test_always_irreducible(self):
         for seed in range(200):
             pair, g = random_irreducible_pair(8, seed=seed)
@@ -550,4 +570,7 @@ class TestCreepingDoubleWords:
             for w in sorted(set(permutations(sorted(pool) * 2)))
             if creeps(w) and creeps(w[::-1])
         ]
-        assert list(_creeping_double_words(pool, i)) == oracle
+        ids = [g.factors.index(f) for f in pool]
+        masks = [sum(1 << v for v in f.nodes) for f in g.factors]
+        words = _creeping_double_words(ids, masks, i)
+        assert [tuple(g.factors[x] for x in w) for w in words] == oracle

@@ -76,6 +76,13 @@ class TestForest:
         with pytest.raises(UnknownFactor):
             ct.build_causal_forest(chain3, seq(0, fg.Factor(nodes=(0, 2))))
 
+    def test_queries_reject_factor_outside_forest(self, branched):
+        a, b, c = sorted(branched.factors)
+        forest = ct.build_causal_forest(branched, seq(0, a, b))
+        for query in (forest.parent_of, forest.children_of, forest.degree):
+            with pytest.raises(UnknownFactor):
+                query(c)
+
 
 class TestPathExtraction:
     def test_chain_path(self, chain3):

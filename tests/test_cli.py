@@ -1,5 +1,7 @@
 """End-to-end runs of the command-line interface, in process."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -297,6 +299,21 @@ def test_thread_cap_reaches_openblas():
         check=True,
     )
     live = int(out.stdout)
+    if live < 0:
+        pytest.skip("no OpenBLAS thread-count symbol in this process")
+    assert live == 1
+
+
+def test_suite_runs_one_blas_thread():
+    # tests/conftest.py sets the pool variables to 1 before numpy loads,
+    # unless a pool size was set explicitly
+    pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    if any(os.environ.get(var, "1") != "1" for var in (*pools, "LIGHTCONE_THREADS")):
+        pytest.skip("pool size set explicitly for this run")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(_LIVE_BLAS_THREADS, {})
+    live = int(out.getvalue())
     if live < 0:
         pytest.skip("no OpenBLAS thread-count symbol in this process")
     assert live == 1
