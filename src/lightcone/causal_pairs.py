@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterator, Sequence
 
@@ -64,7 +63,7 @@ from .errors import (
     TooLarge,
     UnrepeatedFactor,
 )
-from .factor_graph import Factor, FactorGraph, WeightedFactorGraph
+from .factor_graph import Factor, FactorGraph, WeightedFactorGraph, graph_cache
 
 __all__ = [
     "CausalTreePair",
@@ -88,10 +87,6 @@ __all__ = [
 _PAIR_CAP = 8  # exhaustive searches stop making sense past this many factors
 
 Word = tuple[int, ...]
-
-
-def _base(g: FactorGraph | WeightedFactorGraph) -> FactorGraph:
-    return g.graph if isinstance(g, WeightedFactorGraph) else g
 
 
 @dataclass(frozen=True)
@@ -146,7 +141,7 @@ def _pair_word(
     """(graph, masks, word) of a pair of at most ``_PAIR_CAP`` factors."""
     if len(pair.factors) > _PAIR_CAP:
         raise TooLarge(f"{what} capped at {_PAIR_CAP} factors")
-    base = _base(g)
+    base = g.graph
     return base, _masks(base.factors), _ids(base, pair.word)
 
 
@@ -624,7 +619,7 @@ class Theorem4Report:
     last_shell: float
 
 
-@lru_cache(maxsize=64)
+@graph_cache
 def _pair_coefficients(
     g: WeightedFactorGraph, i: int, j: int, l_max: int
 ) -> tuple[tuple[int, float], ...]:

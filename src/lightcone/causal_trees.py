@@ -223,7 +223,7 @@ def _check_sequence(
     g: FactorGraph | WeightedFactorGraph, seq: FactorSequence
 ) -> tuple[FactorGraph, tuple[int, ...]]:
     """The graph and the ids of a sequence whose factors and root it holds."""
-    base = g.graph if isinstance(g, WeightedFactorGraph) else g
+    base = g.graph
     word = _ids(base, seq.factors)
     if not 0 <= seq.root < base.n_nodes:
         raise UnknownFactor(f"root node {seq.root} outside graph")
@@ -334,7 +334,7 @@ def lemma4_bijection_check(
     vanish).  The slotted form generates each sequence at most once; a
     duplicate raises ComputeError.
     """
-    base = g.graph if isinstance(g, WeightedFactorGraph) else g
+    base = g.graph
     if len(base.factors) > 6 or n_max > 6:
         raise TooLarge("bijection check capped at |F| <= 6, n_max <= 6")
     masks = _masks(base.factors)

@@ -107,24 +107,29 @@ def _load_terms(path: str) -> tuple[str, int, list[HamiltonianTerm]]:
     if kind not in ("pauli", "majorana"):
         raise ConfigError(f"{path!r}: unknown kind {kind!r}")
     terms = []
-    for entry in raw:
-        string = entry["string"]
-        if kind == "pauli":
-            string = PauliString.from_str(string)
-            if string.n_sites != n:
-                raise ConfigError(f"string {entry['string']!r} is not {n} sites")
-        else:
-            string = tuple(int(k) for k in string)
-        factor = None
-        if entry.get("factor") is not None:
-            factor = Factor(
-                nodes=tuple(entry["factor"]), flavor=int(entry.get("flavor", 0))
+    try:
+        for entry in raw:
+            string = entry["string"]
+            if kind == "pauli":
+                string = PauliString.from_str(string)
+                if string.n_sites != n:
+                    raise ConfigError(f"string {entry['string']!r} is not {n} sites")
+            else:
+                string = tuple(int(k) for k in string)
+            factor = None
+            if entry.get("factor") is not None:
+                factor = Factor(
+                    nodes=tuple(entry["factor"]), flavor=int(entry.get("flavor", 0))
+                )
+            terms.append(
+                HamiltonianTerm(
+                    factor=factor, string=string, coupling=float(entry["coupling"])
+                )
             )
-        terms.append(
-            HamiltonianTerm(
-                factor=factor, string=string, coupling=float(entry["coupling"])
-            )
-        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"{path!r}: each term needs a string and a coupling ({type(exc).__name__}: {exc})"
+        ) from exc
     if not terms:
         raise ConfigError(f"{path!r}: empty Hamiltonian")
     return kind, n, terms
@@ -157,22 +162,27 @@ def _load_spec(path: str) -> EnsembleSpec:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path!r}: need keys kind, n, entries") from exc
     entries = []
-    for e in raw:
-        string = e["string"]
-        string = (
-            PauliString.from_str(string)
-            if kind == "pauli"
-            else tuple(int(k) for k in string)
-        )
-        entries.append(
-            EnsembleEntry(
-                factor=Factor(
-                    nodes=tuple(e["nodes"]), flavor=int(e.get("flavor", 0))
-                ),
-                string=string,
-                jsq=float(e["jsq"]),
+    try:
+        for e in raw:
+            string = e["string"]
+            string = (
+                PauliString.from_str(string)
+                if kind == "pauli"
+                else tuple(int(k) for k in string)
             )
-        )
+            entries.append(
+                EnsembleEntry(
+                    factor=Factor(
+                        nodes=tuple(e["nodes"]), flavor=int(e.get("flavor", 0))
+                    ),
+                    string=string,
+                    jsq=float(e["jsq"]),
+                )
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"{path!r}: each entry needs nodes, a string and jsq ({type(exc).__name__}: {exc})"
+        ) from exc
     return ensemble_spec(kind, n, entries, law=data.get("law", "gaussian"))
 
 

@@ -4,18 +4,30 @@ A factor graph G = (V, F, E) is bipartite: nodes V = {0..N-1} on one side,
 factors (node subsets with a flavor index) on the other, and an edge (i, X)
 for every i in X.  Multiplicity of identical subsets is expressed through the
 flavor index, so factor identity survives serialization.
+
+The bipartite graph has one integer vertex numbering: node v is vertex v,
+and factor f, its index into the sorted ``factors``, is vertex N + f.  The
+breadth-first search runs on these ids (``FactorGraph.distances_from``);
+``distance`` turns its node or ``Factor`` arguments into ids once, at the
+boundary.
+
+Everything derived from a graph is cached on the graph instance, never in
+a module-level cache, so it is freed with the graph: fixed data in
+``cached_property`` attributes, results keyed by arguments through
+``graph_cache`` (BFS distances here; paths, h matrices and the pair series
+in the bound layers).  Graphs are compared and hashed by value, but equal
+graphs do not share cache entries.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 import scipy.sparse
@@ -75,20 +87,46 @@ class Factor:
 
 Site = Union[int, Factor]  # vertex of the bipartite graph
 
+_CACHE_SIZE = 256  # entries per graph_cache table of one graph
+
+
+class _GraphCaches:
+    """Holds the ``graph_cache`` tables of one graph instance."""
+
+    @cached_property
+    def _caches(self) -> dict[Callable, dict]:
+        return {}
+
+
+def graph_cache(fn: Callable) -> Callable:
+    """Cache ``fn(g, *key)`` on the graph ``g`` itself, so entries die with g.
+
+    Each graph keeps one table per cached function; a table drops its
+    oldest entry once it holds _CACHE_SIZE of them.
+    """
+
+    @wraps(fn)
+    def cached(g, *key):
+        table = g._caches.setdefault(fn, {})
+        if key in table:
+            return table[key]
+        if len(table) >= _CACHE_SIZE:
+            del table[next(iter(table))]
+        value = table[key] = fn(g, *key)
+        return value
+
+    return cached
+
 
 @dataclass(frozen=True)
-class FactorGraph:
+class FactorGraph(_GraphCaches):
     n_nodes: int
     factors: tuple[Factor, ...]
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # graphs key the lru_caches of the bound layers; hashing every
-        # factor on each lookup would cost O(|F|) per call
-        return hash((self.n_nodes, self.factors))
+    @property
+    def graph(self) -> FactorGraph:
+        """The unweighted graph: itself (a weighted graph's is its base)."""
+        return self
 
     @cached_property
     def node_adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -124,23 +162,38 @@ class FactorGraph:
         return len(self.node_adjacency[node])
 
     @cached_property
+    def _vertex_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbour ids of every vertex: factor vertices of a node, nodes of a factor."""
+        n = self.n_nodes
+        return tuple(
+            tuple(n + fi for fi in adj) for adj in self.node_adjacency
+        ) + tuple(f.nodes for f in self.factors)
+
+    @graph_cache
+    def distances_from(self, source: int) -> list[int | None]:
+        """Edge counts from vertex ``source`` to every vertex (None: unreached).
+
+        The list is cached and shared, so never modify it.
+        """
+        adjacency = self._vertex_adjacency
+        dist: list[int | None] = [None] * len(adjacency)
+        dist[source] = 0
+        queue = [source]
+        for v in queue:  # the loop reads the vertices appended behind it
+            for w in adjacency[v]:
+                if dist[w] is None:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        return dist
+
+    @cached_property
     def is_connected(self) -> bool:
-        if self.n_nodes == 0:
-            return True
-        seen_nodes = {0}
-        seen_factors: set[int] = set()
-        queue: deque[int] = deque([0])
-        while queue:
-            node = queue.popleft()
-            for fi in self.node_adjacency[node]:
-                if fi in seen_factors:
-                    continue
-                seen_factors.add(fi)
-                for other in self.factors[fi].nodes:
-                    if other not in seen_nodes:
-                        seen_nodes.add(other)
-                        queue.append(other)
-        return len(seen_nodes) == self.n_nodes and len(seen_factors) == len(self.factors)
+        return self.n_nodes == 0 or None not in self.distances_from(0)
+
+    @cached_property
+    def _unit_weighted(self) -> WeightedFactorGraph:
+        # as_weighted hands this view out, so unweighted callers share its caches
+        return WeightedFactorGraph(graph=self, weights=(1.0,) * len(self.factors))
 
     @cached_property
     def _factor_positions(self) -> dict[Factor, int]:
@@ -155,9 +208,17 @@ class FactorGraph:
         except KeyError:
             raise NodeOutOfRange(f"factor {f} not in graph") from None
 
+    def vertex(self, site: Site) -> int:
+        """Vertex id of a node (itself) or of a factor (N + its index)."""
+        if isinstance(site, Factor):
+            return self.n_nodes + self.factor_index(site)
+        if not 0 <= site < self.n_nodes:
+            raise NodeOutOfRange(f"node {site} outside 0..{self.n_nodes - 1}")
+        return site
+
 
 @dataclass(frozen=True)
-class WeightedFactorGraph:
+class WeightedFactorGraph(_GraphCaches):
     """A factor graph with per-factor spectral-norm weights ||H_X|| > 0."""
 
     graph: FactorGraph
@@ -170,13 +231,6 @@ class WeightedFactorGraph:
             )
         if any(not (w > 0) for w in self.weights):
             raise InvalidParams("factor weights must be positive")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.graph, self.weights))
 
     def weight_of(self, f: Factor) -> float:
         return self.weights[self.graph.factor_index(f)]
@@ -214,12 +268,17 @@ def as_weighted(
     g: FactorGraph | WeightedFactorGraph,
     weights: float | Sequence[float] | Mapping[Factor, float] = 1.0,
 ) -> WeightedFactorGraph:
-    """Attach weights to a graph; scalars broadcast to every factor."""
+    """Attach weights to a graph; scalars broadcast to every factor.
+
+    Unit weights give the one unit-weight view cached on ``g``.
+    """
     if isinstance(g, WeightedFactorGraph):
         return g
     if isinstance(weights, Mapping):
         w = tuple(float(weights[f]) for f in g.factors)
     elif isinstance(weights, (int, float)):
+        if weights == 1.0:
+            return g._unit_weighted
         w = (float(weights),) * len(g.factors)
     else:
         w = tuple(float(x) for x in weights)
@@ -264,52 +323,23 @@ def build_graph(
     return FactorGraph(n_nodes=n_nodes, factors=ordered)
 
 
-def _bfs_distance(g: FactorGraph, start: Site) -> dict[Site, int]:
-    dist: dict[Site, int] = {start: 0}
-    queue: deque[Site] = deque([start])
-    while queue:
-        v = queue.popleft()
-        d = dist[v]
-        if isinstance(v, Factor):
-            neighbors: Iterable[Site] = v.nodes
-        else:
-            neighbors = (g.factors[fi] for fi in g.node_adjacency[v])
-        for w in neighbors:
-            if w not in dist:
-                dist[w] = d + 1
-                queue.append(w)
-    return dist
-
-
-def _check_site(g: FactorGraph, a: Site) -> None:
-    if isinstance(a, Factor):
-        g.factor_index(a)
-    elif not 0 <= a < g.n_nodes:
-        raise NodeOutOfRange(f"node {a} outside 0..{g.n_nodes - 1}")
-
-
 def distance(g: FactorGraph | WeightedFactorGraph, a: Site, b: Site) -> int:
     """Edge-count distance between two vertices of the bipartite graph.
 
     Node-node distances are even; halving them gives the effective graph
     metric used by the Lieb-Robinson style bounds.
     """
-    if isinstance(g, WeightedFactorGraph):
-        g = g.graph
-    _check_site(g, a)
-    _check_site(g, b)
-    if a == b:
-        return 0
-    dist = _bfs_distance(g, a)
-    if b not in dist:
+    base = g.graph
+    va, vb = base.vertex(a), base.vertex(b)
+    d = base.distances_from(va)[vb] if va != vb else 0
+    if d is None:
         raise Disconnected(f"{a!r} and {b!r} lie in different components")
-    return dist[b]
+    return d
 
 
 def genus(g: FactorGraph | WeightedFactorGraph) -> int:
     """|E| + 1 - |V| - |F|: independent loop count of a connected graph."""
-    if isinstance(g, WeightedFactorGraph):
-        g = g.graph
+    g = g.graph
     if not g.is_connected:
         raise Disconnected("genus requires a connected graph")
     return g.n_edges + 1 - g.n_nodes - len(g.factors)
@@ -400,8 +430,7 @@ def regularity_check(g: FactorGraph | WeightedFactorGraph) -> RegularityReport:
     When regular, q|F| = kN holds automatically (both sides count edges);
     a mismatch raises ComputeError.
     """
-    if isinstance(g, WeightedFactorGraph):
-        g = g.graph
+    g = g.graph
     if not g.factors:
         return RegularityReport(is_regular=False)
     degrees = {g.degree(i) for i in range(g.n_nodes)}
@@ -424,18 +453,15 @@ def regularity_check(g: FactorGraph | WeightedFactorGraph) -> RegularityReport:
 
 
 def graph_to_json(g: FactorGraph | WeightedFactorGraph) -> str:
-    if isinstance(g, WeightedFactorGraph):
-        base, weights = g.graph, g.weights
-    else:
-        base, weights = g, None
+    weights = g.weights if isinstance(g, WeightedFactorGraph) else None
     factors: list[dict] = []
     emit_weights = weights is not None and any(w != 1.0 for w in weights)
-    for idx, f in enumerate(base.factors):
+    for idx, f in enumerate(g.factors):
         entry: dict = {"nodes": list(f.nodes), "flavor": f.flavor}
         if emit_weights:
             entry["weight"] = weights[idx]
         factors.append(entry)
-    return json.dumps({"N": base.n_nodes, "factors": factors}, sort_keys=True)
+    return json.dumps({"N": g.n_nodes, "factors": factors}, sort_keys=True)
 
 
 def graph_from_json(text: str) -> FactorGraph | WeightedFactorGraph:
@@ -448,20 +474,21 @@ def graph_from_json(text: str) -> FactorGraph | WeightedFactorGraph:
         raw = obj["factors"]
     except (TypeError, KeyError) as exc:
         raise IoError("graph JSON must carry keys 'N' and 'factors'") from exc
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise IoError(f"graph JSON 'N' must be an integer, got {n!r}")
     factors = []
     weights = []
-    any_weight = False
-    for entry in raw:
-        factors.append(Factor(nodes=tuple(entry["nodes"]), flavor=entry.get("flavor", 0)))
-        w = entry.get("weight")
-        if w is not None:
-            any_weight = True
-            weights.append(float(w))
-        else:
-            weights.append(1.0)
-    g = build_graph(n, factors)
-    if any_weight:
+    try:
+        for entry in raw:
+            factors.append(Factor(nodes=tuple(entry["nodes"]), flavor=entry.get("flavor", 0)))
+            weights.append(entry.get("weight"))
+        g = build_graph(n, factors)
+        if all(w is None for w in weights):
+            return g
         # build_graph sorts factors; re-align weights to the sorted order
         order = sorted(range(len(factors)), key=lambda idx: factors[idx])
-        return WeightedFactorGraph(graph=g, weights=tuple(weights[idx] for idx in order))
-    return g
+        return WeightedFactorGraph(
+            graph=g, weights=tuple(1.0 if weights[k] is None else float(weights[k]) for k in order)
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IoError(f"malformed graph JSON: {type(exc).__name__}: {exc}") from exc

@@ -6,13 +6,23 @@ the pairwise weight matrix h, and the classic exponential-lightcone bound
 parameterized by a decay rate alpha.  Also: velocity extraction, closed
 forms for the chain / star / complete-graph models, and the conversion
 interval between the projector norm C and the commutator norm Chat.
+
+Paths run on the vertex ids of ``factor_graph``: enumeration keeps a path
+as a tuple of factor ids (indices into the sorted ``factors``), and the
+length pruning reads the graph's BFS distance list.  Id order is factor
+order, so sorting id tuples gives the public (length, factors) order;
+``IrreduciblePath`` objects are built only by
+``enumerate_irreducible_paths``, and ``theorem3_bound`` takes weights by id.
+Path lists and h matrices are cached on the graph instance they are asked
+of, and BFS distances on its unweighted graph, through
+``factor_graph.graph_cache``; no module-level cache holds a graph, so all
+of it is freed with the graph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -29,9 +39,9 @@ from .factor_graph import (
     Factor,
     FactorGraph,
     WeightedFactorGraph,
-    _bfs_distance,
     as_weighted,
     distance,
+    graph_cache,
     regularity_check,
 )
 
@@ -70,22 +80,35 @@ class IrreduciblePath:
         return len(self.factors)
 
 
-@lru_cache(maxsize=256)
-def _enumerate_cached(
-    g: WeightedFactorGraph, i: int, j: int, l_max: int
-) -> tuple[IrreduciblePath, ...]:
+@graph_cache
+def _path_ids(
+    g: FactorGraph | WeightedFactorGraph, i: int, j: int, l_max: int | None
+) -> tuple[tuple[int, ...], ...]:
+    """``enumerate_irreducible_paths`` with each path as a tuple of factor ids."""
+    if i == j:
+        raise SameNode(f"path endpoints coincide at node {i}")
     base = g.graph
+    if not 0 <= i < base.n_nodes or not 0 <= j < base.n_nodes:
+        raise InvalidParams(f"nodes ({i}, {j}) outside 0..{base.n_nodes - 1}")
     factors = base.factors
+    if l_max is None:
+        if len(factors) > 24:
+            raise InvalidParams(
+                f"|F| = {len(factors)} > 24: pass l_max explicitly (truncated result)"
+            )
+        l_max = len(factors)
+    if l_max < 1:
+        raise InvalidParams(f"l_max must be >= 1, got {l_max}")
+    l_max = min(l_max, len(factors))
     neighbors = base.factor_neighbors
     # bipartite distance from j, for a lower bound on remaining path length:
     # a factor at odd distance d from j needs (d+1)/2 more factors inclusive
-    dist_from_j = _bfs_distance(base, j)
     needed = [
-        (dist_from_j[f] + 1) // 2 if f in dist_from_j else l_max + 1
-        for f in factors
+        l_max + 1 if d is None else (d + 1) // 2
+        for d in base.distances_from(j)[base.n_nodes:]
     ]
     holds_i = set(base.node_adjacency[i])
-    found: list[IrreduciblePath] = []
+    found: list[tuple[int, ...]] = []
     path: list[int] = []
     used = [False] * len(factors)
     # connector slots of the path so far, kept matched to distinct nodes
@@ -116,11 +139,7 @@ def _enumerate_cached(
 
     def dfs(cur: int) -> None:
         if j in factors[cur]:
-            found.append(
-                IrreduciblePath(
-                    source=i, target=j, factors=tuple(factors[k] for k in path)
-                )
-            )
+            found.append(tuple(path))
             return  # j may only sit in the final factor
         if len(path) == l_max:
             return
@@ -133,24 +152,23 @@ def _enumerate_cached(
             # the slots of every extension include these, so a prefix
             # without distinct connectors cannot complete
             if augment(len(slots) - 1, set()):
-                path.append(nxt)
-                used[nxt] = True
-                dfs(nxt)
-                used[nxt] = False
-                path.pop()
+                visit(nxt)
                 unwind(mark)
             slots.pop()
 
-    for first in sorted(holds_i):
-        if needed[first] > l_max:
-            continue
-        path.append(first)
-        used[first] = True
-        dfs(first)
-        used[first] = False
+    def visit(f: int) -> None:
+        path.append(f)
+        used[f] = True
+        dfs(f)
+        used[f] = False
         path.pop()
 
-    found.sort(key=lambda p: (len(p), p.factors))
+    for first in sorted(holds_i):
+        if needed[first] <= l_max:
+            visit(first)
+
+    # ids follow the sorted factors, so this is the (length, factors) order
+    found.sort(key=lambda p: (len(p), p))
     return tuple(found)
 
 
@@ -171,21 +189,11 @@ def enumerate_irreducible_paths(
     with more than 24 factors must pass an explicit l_max (results are then
     a truncation).
     """
-    if i == j:
-        raise SameNode(f"path endpoints coincide at node {i}")
-    wg = as_weighted(g)
-    if not 0 <= i < wg.n_nodes or not 0 <= j < wg.n_nodes:
-        raise InvalidParams(f"nodes ({i}, {j}) outside 0..{wg.n_nodes - 1}")
-    n_factors = len(wg.factors)
-    if l_max is None:
-        if n_factors > 24:
-            raise InvalidParams(
-                f"|F| = {n_factors} > 24: pass l_max explicitly (truncated result)"
-            )
-        l_max = n_factors
-    if l_max < 1:
-        raise InvalidParams(f"l_max must be >= 1, got {l_max}")
-    return list(_enumerate_cached(wg, i, j, min(l_max, n_factors)))
+    factors = g.graph.factors
+    return [
+        IrreduciblePath(source=i, target=j, factors=tuple(factors[k] for k in p))
+        for p in _path_ids(g, i, j, l_max)
+    ]
 
 
 def theorem3_bound(
@@ -201,13 +209,13 @@ def theorem3_bound(
     bound on the bound); callers surfacing such values label them as
     partial.
     """
-    wg = as_weighted(g)
+    weights = as_weighted(g).weights
     total = 0.0
     at = 2.0 * abs(t)
-    for p in enumerate_irreducible_paths(wg, i, j, l_max):
+    for p in _path_ids(g, i, j, l_max):
         w = 1.0
-        for f in p.factors:
-            w *= wg.weight_of(f)
+        for k in p:
+            w *= weights[k]
         total += at ** len(p) / math.factorial(len(p)) * w
     return total
 
@@ -227,7 +235,7 @@ class HMatrices:
     h_tilde_max: float
 
 
-@lru_cache(maxsize=256)
+@graph_cache
 def h_matrices(g: FactorGraph | WeightedFactorGraph) -> HMatrices:
     h = as_weighted(g).h_sparse.toarray()
     h_tilde = h + np.diag(h.sum(axis=1))
@@ -263,6 +271,8 @@ def corollary6_bound(
     """
     h = as_weighted(g).h_sparse
     n = h.shape[0]
+    if not 0 <= i < n or not 0 <= j < n:
+        raise InvalidParams(f"nodes ({i}, {j}) outside 0..{n - 1}")
     x = 2.0 * abs(t)
     row_norm = float(h.sum(axis=1).max())
     u = np.zeros(n)

@@ -209,6 +209,52 @@ class TestEnsembleCommand:
                      "--seed", "0"]) == 2
 
 
+class TestMalformedInput:
+    """Malformed JSON entries end in an exit code, not a traceback."""
+
+    @staticmethod
+    def _run(tmp_path, command, flag, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        extra = ["--samples", "2", "--seed", "0"] if command == "ensemble" else []
+        return main([command, flag, str(path), "--i", "0", "--j", "1",
+                     "--tmax", "1", "--steps", "2"] + extra)
+
+    @pytest.mark.parametrize("payload", [
+        {"N": 3, "factors": [{"flavor": 0}]},
+        {"N": 3, "factors": [{"nodes": 5}]},
+        {"N": "x", "factors": [{"nodes": [0, 1]}]},
+        {"N": 2.5, "factors": [{"nodes": [0, 1]}]},
+        {"N": 3, "factors": 5},
+        {"N": 3, "factors": [{"nodes": [0, 1], "weight": "heavy"}]},
+    ])
+    def test_graph_is_io_error(self, tmp_path, capsys, payload):
+        assert self._run(tmp_path, "bound", "--graph", payload) == 4
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [
+        {"string": "XX"},
+        {"coupling": 0.5},
+        {"string": "XQ", "coupling": 0.5},
+        "XX",
+    ])
+    def test_terms_are_config_error(self, tmp_path, capsys, entry):
+        payload = {"kind": "pauli", "n": 2, "terms": [entry]}
+        assert self._run(tmp_path, "simulate", "--terms", payload) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [
+        {"string": "XX", "jsq": 0.1},
+        {"nodes": [0, 1], "jsq": 0.1},
+        {"nodes": [0, 1], "string": "XX"},
+        {"nodes": 1, "string": "XX", "jsq": 0.1},
+    ])
+    def test_spec_is_config_error(self, tmp_path, capsys, entry):
+        payload = {"kind": "pauli", "n": 2, "entries": [entry]}
+        assert self._run(tmp_path, "ensemble", "--spec", payload) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestFiguresCommand:
     def test_lr_columns(self, tmp_path):
         out = str(tmp_path / "lr.csv")

@@ -1,8 +1,10 @@
 """Factor graph model: construction, metric, genus, ensembles, JSON."""
 
+import ast
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +91,18 @@ class TestDistance:
         g = fg.build_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(Disconnected):
             fg.distance(g, 0, 3)
+        assert not g.is_connected and chain(4).is_connected
+
+    def test_endpoints_checked(self):
+        g = chain(3)
+        for a, b in ((0, 3), (-1, 0), (0, fg.Factor(nodes=(0, 2)))):
+            with pytest.raises(NodeOutOfRange):
+                fg.distance(g, a, b)
+
+    def test_vertex_numbering(self):
+        g = fg.build_graph(3, [(1, 2), (0, 1)])
+        assert [g.vertex(site) for site in (0, 2, *g.factors)] == [0, 2, 3, 4]
+        assert g.distances_from(0) == [0, 2, 4, 1, 3]
 
 
 class TestGenus:
@@ -217,6 +231,13 @@ class TestJson:
             fg.graph_from_json("{not json")
         with pytest.raises(IoError):
             fg.graph_from_json('{"factors": []}')
+        for bad in (
+            {"N": 3, "factors": [{"flavor": 0}]},
+            {"N": 3, "factors": [{"nodes": 5}]},
+            {"N": "x", "factors": [{"nodes": [0, 1]}]},
+        ):
+            with pytest.raises(IoError):
+                fg.graph_from_json(json.dumps(bad))
 
 
 # -- property tests ---------------------------------------------------------
@@ -274,3 +295,21 @@ def test_genus_nonnegative(g):
 def test_tree_genus_zero_property(n):
     assert fg.genus(chain(n)) == 0
     assert fg.genus(fg.standard_graph("star", n)) == 0
+
+
+def test_no_module_cache_takes_a_graph():
+    """Caches keyed by a graph live on the graph (``graph_cache``), so they
+    are freed with it; a module-level lru_cache would keep the graph alive."""
+    found = []
+    for path in sorted(Path(fg.__file__).resolve().parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            decorators = [ast.unparse(d) for d in node.decorator_list]
+            if not any("lru_cache" in d or d.endswith("cache") for d in decorators):
+                continue
+            if "graph_cache" in decorators:
+                continue
+            if any("Graph" in ast.unparse(a.annotation or ast.Constant("")) for a in node.args.args):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []

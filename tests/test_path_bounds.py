@@ -1,7 +1,9 @@
 """Path enumeration and the bound family built on it."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import iv  # oracle for the hand-rolled Bessel series
 
+from lightcone import causal_pairs as cp
 from lightcone import factor_graph as fg
 from lightcone import path_bounds as pb
 from lightcone.errors import (
@@ -231,6 +234,14 @@ class TestCorollary6:
         g = fg.build_graph(5, [(0, 1), (1, 2), (3, 4)])
         assert pb.corollary6_bound(g, 0, 4, 1.5) == 0.0
         assert pb.corollary6_bound(g, 4, 1, 0.2) == 0.0
+
+    def test_endpoints_checked(self):
+        g = chain(6)
+        for i, j in ((-1, 3), (0, 9), (3, -1), (6, 0)):
+            with pytest.raises(InvalidParams):
+                pb.corollary6_bound(g, i, j, 1.0)
+        # i == j is the diagonal entry of e^{2|t| h}, as before
+        assert pb.corollary6_bound(g, 2, 2, 0.0) == 1.0
 
     # scipy's expm (Pade with scaling and squaring) is itself good to about
     # 1e-12 relative only up to 2|t| max_row_sum(h) ~ 2, and only relative
@@ -470,3 +481,33 @@ def test_bounds_even_and_zero_at_origin(t):
     assert pb.corollary6_bound(g, 0, 4, t) == pb.corollary6_bound(g, 0, 4, -t)
     if t == 0:
         assert pb.theorem3_bound(g, 0, 4, t) == 0.0
+
+
+class TestCacheOwnership:
+    def test_graph_freed_after_bounds(self):
+        base = fg.build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])
+        g = fg.as_weighted(base, [0.3, 0.4, 0.5, 0.6, 0.7])
+        pb.theorem3_bound(g, 0, 4, 1.0)
+        pb.corollary6_bound(g, 0, 4, 1.0)
+        pb.lieb_robinson_bound(g, 0, 4, 1.0)
+        pb.h_matrices(g)
+        cp.theorem4_bound_bruteforce(g, 0, 4, 0.5)
+        refs = weakref.ref(g), weakref.ref(base)
+        del g, base
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+    def test_unit_view_shared(self):
+        g = chain(5)
+        assert fg.as_weighted(g) is fg.as_weighted(g) is fg.as_weighted(g, 1.0)
+        assert pb.h_matrices(fg.as_weighted(g)) is pb.h_matrices(fg.as_weighted(g))
+        assert fg.as_weighted(g, 2.0).weights == (2.0,) * 4
+
+    def test_cache_table_bounded(self):
+        g = chain(600)
+        for j in range(1, 600):
+            fg.distance(g, 0, j)
+            fg.distance(g, j, 0)
+        (table,) = g._caches.values()
+        assert len(table) == 256
+        assert fg.distance(g, 599, 0) == 2 * 599
