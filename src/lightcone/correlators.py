@@ -20,10 +20,11 @@ the dense path of ``liouville``, and with |X|_F the Frobenius norm:
     hatC      G_ab = Re tr([A, s^a_j]^dag [A, s^b_j]) / (4D (A_i|A_i))
 
 The Pauli weight subtracts the partial trace directly instead of taking
-|A|^2 - |rest|^2, so a small C keeps its relative accuracy.  At t = 0 and
-with ``method="krylov"`` the correlators use the string-space vector from
-``evolve_operator`` and ``projected_weight``, so C(0) is exactly 0 off
-site i and exactly 1 on it.
+|A|^2 - |rest|^2, so a small C keeps its relative accuracy.  C and hatC
+share one loop that builds one evolution of A_i per time grid, dense or
+Krylov (see ``liouville``).  At t = 0, where A(0) = A, and on the Krylov
+path the loop reads string-space vectors, so C(0) is exactly 0 off site i
+and exactly 1 on it.
 """
 
 from __future__ import annotations
@@ -38,12 +39,14 @@ from .errors import BadInitialOperator, BasisMismatch, ComputeError, InvalidPara
 from .liouville import (
     HamiltonianTerm,
     OperatorVector,
+    _KRYLOV_MAX_DIM,
+    _check_method,
     _dense_heisenberg,
     _dense_to_vector,
+    _krylov_heisenberg,
     _qubits,
     _term_codes,
     _vector,
-    evolve_operator,
     inner,
     pauli_commutator,
     single_site_pauli,
@@ -94,20 +97,13 @@ def projected_weight(o: OperatorVector, j: int) -> float:
 def _validate_initial(a: OperatorVector, i: int) -> None:
     if not a.terms:
         raise BadInitialOperator("initial operator is zero")
-    if a.kind == "pauli":
-        for s in a.terms:
-            if s.is_identity:
-                raise BadInitialOperator("initial operator must be traceless")
-            if s.support != (i,):
-                raise BadInitialOperator(
-                    f"support {s.support} is not exactly site {i}"
-                )
-    else:
-        for key in a.terms:
-            if key != (i,):
-                raise BadInitialOperator(
-                    f"majorana initial operator must be a multiple of mode {i}"
-                )
+    for key in a.terms:
+        if a.kind == "majorana" and key != (i,):
+            raise BadInitialOperator(f"majorana initial operator must be a multiple of mode {i}")
+        if a.kind == "pauli" and key.is_identity:
+            raise BadInitialOperator("initial operator must be traceless")
+        if a.kind == "pauli" and key.support != (i,):
+            raise BadInitialOperator(f"support {key.support} is not exactly site {i}")
 
 
 # Below this C the Hilbert-space norm is within three orders of the rounding
@@ -130,7 +126,6 @@ def _products(A: np.ndarray, action) -> tuple[np.ndarray, np.ndarray]:
 
 def _dense_weight(At: np.ndarray, kind: str, n: int, j: int) -> float:
     """(A(t)| P_j |A(t)) from the dense matrix A(t)."""
-    _check_site(kind, n, j)
     dim = At.shape[0]
     if kind == "majorana":
         (psi,) = zip(*_code_actions(_qubits(kind, n), [_mode_code(n, j)]))
@@ -155,13 +150,49 @@ def _string_gram(at: OperatorVector, probes, denom: float) -> np.ndarray:
     return gram
 
 
-def _dense_gram(At: np.ndarray, actions, denom: float) -> np.ndarray:
+def _dense_gram(At: np.ndarray, probes, denom: float) -> np.ndarray:
+    actions = zip(*_code_actions(probes[0].n, [c for p in probes for c in p.codes]))
     comms = np.stack([np.subtract(*_products(At, act)).ravel() for act in actions])
     return (comms.conj() @ comms.T).real / (At.shape[0] * denom)
 
 
 def _top(gram: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(gram)[-1])
+
+
+def _exact_curve(
+    name: str, terms: Sequence[HamiltonianTerm], i: int, j: int, a_i: OperatorVector,
+    times: Sequence[float], method: str, tol: float,
+    dense_sq: Callable[[np.ndarray], float],
+    string_sq: Callable[[OperatorVector], float],
+    scale: float = 1.0,
+) -> BoundCurve:
+    """sqrt(sq / scale) on a time grid, from one evolution of ``a_i``.
+
+    ``dense_sq`` reads sq off a dense A(t), ``string_sq`` off a string-space
+    A(t): at t = 0, on the Krylov path and below the floor."""
+    _check_method(method)
+    _validate_initial(a_i, i)
+    entries = _term_codes(terms, a_i.kind, a_i.n)
+    _check_site(a_i.kind, a_i.n, j)
+    evolve, values = None, []
+    for t in times:
+        if t == 0.0:
+            sq = string_sq(a_i)
+        elif method == "krylov":
+            evolve = evolve or _krylov_heisenberg(terms, a_i, tol, _KRYLOV_MAX_DIM)
+            sq = string_sq(evolve(t))
+        else:
+            evolve = evolve or _dense_heisenberg(entries, a_i)
+            At = evolve(t)
+            sq = dense_sq(At)
+            if sq < _FLOOR**2 * scale:
+                sq = string_sq(_dense_to_vector(At, a_i))
+        v = math.sqrt(max(sq, 0.0) / scale)
+        if not v <= 1.0 + 1e-9:
+            raise ComputeError(f"{name}={v} escaped [0,1]")
+        values.append(min(v, 1.0))
+    return BoundCurve(tuple(times), tuple(values), label=f"{name.lower()}_exact")
 
 
 def c_ij_exact(
@@ -174,28 +205,11 @@ def c_ij_exact(
     tol: float = 1e-10,
 ) -> BoundCurve:
     """Exact C_ij(t) on a time grid."""
-    _validate_initial(a_i, i)
-    entries = _term_codes(terms, a_i.kind, a_i.n)
-    denom = inner(a_i, a_i)
-    evolve = None
-    values = []
-    for t in times:
-        if method == "dense" and t != 0.0:
-            if evolve is None:
-                evolve = _dense_heisenberg(entries, a_i)
-            At = evolve(t)
-            weight = _dense_weight(At, a_i.kind, a_i.n, j)
-            if weight < _FLOOR**2 * denom:
-                weight = projected_weight(_dense_to_vector(At, a_i), j)
-        else:
-            at = evolve_operator(terms, a_i, t, method=method, tol=tol)
-            weight = projected_weight(at, j)
-        v = math.sqrt(weight / denom)
-        if not v <= 1.0 + 1e-9:
-            raise ComputeError(f"C={v} escaped [0,1]")
-        values.append(min(v, 1.0))
-    return BoundCurve(
-        times=tuple(times), values=tuple(values), label="c_exact"
+    return _exact_curve(
+        "C", terms, i, j, a_i, times, method, tol,
+        lambda At: _dense_weight(At, a_i.kind, a_i.n, j),
+        lambda at: projected_weight(at, j),
+        scale=inner(a_i, a_i),
     )
 
 
@@ -216,29 +230,10 @@ def hatc_ij_exact(
     """
     if a_i.kind != "pauli":
         raise BasisMismatch("probe optimization is defined on the qubit basis")
-    entries = _term_codes(terms, a_i.kind, a_i.n)
-    _validate_initial(a_i, i)
-    _check_site("pauli", a_i.n, j)
     denom = 4.0 * inner(a_i, a_i)
     probes = [single_site_pauli(a_i.n, j, lab) for lab in "XYZ"]
-    actions = list(zip(*_code_actions(a_i.n, [c for p in probes for c in p.codes])))
-    evolve = None
-    values = []
-    for t in times:
-        if method == "dense" and t != 0.0:
-            if evolve is None:
-                evolve = _dense_heisenberg(entries, a_i)
-            At = evolve(t)
-            top = _top(_dense_gram(At, actions, denom))
-            if top < _FLOOR**2:
-                top = _top(_string_gram(_dense_to_vector(At, a_i), probes, denom))
-        else:
-            at = evolve_operator(terms, a_i, t, method=method, tol=tol)
-            top = _top(_string_gram(at, probes, denom))
-        v = math.sqrt(max(top, 0.0))
-        if not v <= 1.0 + 1e-9:
-            raise ComputeError(f"hatC={v} escaped [0,1]")
-        values.append(min(v, 1.0))
-    return BoundCurve(
-        times=tuple(times), values=tuple(values), label="hatc_exact"
+    return _exact_curve(
+        "hatC", terms, i, j, a_i, times, method, tol,
+        lambda At: _top(_dense_gram(At, probes, denom)),
+        lambda at: _top(_string_gram(at, probes, denom)),
     )

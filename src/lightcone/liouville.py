@@ -9,15 +9,14 @@ rotation of coefficient space.  Inside, each string is its int code (see
 the coefficient), so ``pauli._commutator`` serves both kinds; the kind
 matters only where keys cross the API, in ``_encode`` and ``terms``.
 
-Two evolution paths.  The dense path works in Hilbert space (2^n, cheap
-next to 4^n): with H = V diag(lam) V^dag it forms B = V^dag A V once and
-A(t) = W B W^dag, W = V diag(e^(i lam t)), two matmuls per time point.
-``evolve_operator`` then re-expands A(t) into strings; ``c_ij_exact`` and
-``hatc_ij_exact`` read their norms off A(t) directly and never expand.
-Dense matrices are built from the codes in one scatter.  The Krylov path
-runs a Lanczos recurrence directly on the antisymmetric Liouvillian in
-string space.  Coefficients below 1e-15 are pruned with the discarded
-weight accumulated per vector.
+Two evolution paths, each a closure t -> A(t) built once per time grid.
+``_dense_heisenberg`` works in Hilbert space (2^n, cheap next to 4^n):
+``evolve_operator`` re-expands its A(t) into strings, while ``c_ij_exact``
+and ``hatc_ij_exact`` read their norms off A(t) directly.
+``_krylov_heisenberg`` runs one Lanczos recurrence on the antisymmetric
+Liouvillian in string space, shared by every t of the grid.  Dense matrices
+are built from the codes in one scatter.  Coefficients below 1e-15 are
+pruned with the discarded weight accumulated per vector.
 """
 
 from __future__ import annotations
@@ -74,6 +73,7 @@ PRUNE_THRESHOLD = 1e-15
 
 _DENSE_QUBIT_CAP = 10
 _DENSE_MAJORANA_CAP = 16
+_KRYLOV_MAX_DIM = 400
 
 
 def _qubits(kind: str, n: int) -> int:
@@ -297,53 +297,59 @@ def _axpy(dst: dict, c: float, src: dict) -> None:
         dst[k] = dst.get(k, 0.0) + c * v
 
 
-def _krylov_evolve(
-    terms: tuple,
-    o: OperatorVector,
-    t: float,
-    tol: float,
-    max_dim: int,
-) -> OperatorVector:
-    norm0 = norm(o)
-    if norm0 == 0.0:
-        return o.copy()
-    basis: list[dict] = [{k: v / norm0 for k, v in o.codes.items()}]
-    betas: list[float] = []
-    y = None
+def _krylov_heisenberg(
+    terms: Sequence[HamiltonianTerm], o: OperatorVector, tol: float, max_dim: int
+) -> Callable[[float], OperatorVector]:
+    """t -> A(t) = e^(Lt) A by a Lanczos recurrence on the Liouvillian.
 
-    for m in range(1, max_dim + 1):
-        vk = _vector(o.kind, o.n, basis[-1])
-        w = liouvillian_apply(terms, vk).codes
-        if len(basis) >= 2:
+    The basis and the b_m do not depend on t, so all calls share one
+    recurrence, extended only as far as each t needs: each t stops at the
+    same step m, with the same result, as on a fresh recurrence."""
+    norm0 = norm(o)
+    basis: list[dict] = [{k: v / norm0 for k, v in o.codes.items()}] if norm0 else []
+    betas: list[float] = []  # betas[m - 1] = b_m, the residual norm of step m
+
+    def extend() -> None:
+        w = liouvillian_apply(terms, _vector(o.kind, o.n, basis[-1])).codes
+        if betas:
             _axpy(w, betas[-1], basis[-2])
         # full reorthogonalization keeps the recurrence honest at tol
         for vb in basis:
             _axpy(w, -_dot(w, vb), vb)
-        beta = math.sqrt(sum(c * c for c in w.values()))
-        # expm on the skew tridiagonal block is the pricey part at large m;
-        # past m=60 only sample it every few steps
-        if beta < 1e-13 or m <= 60 or m % 5 == 0 or m == max_dim:
-            T = np.zeros((m, m))
-            for k, b in enumerate(betas):
-                T[k + 1, k] = b
-                T[k, k + 1] = -b
-            y = scipy.linalg.expm(t * T)[:, 0]
-            if beta < 1e-13:
-                break  # exact invariant subspace
-            if beta * abs(y[-1]) * abs(t) < tol:
-                break
-            if m == max_dim:
-                raise KrylovNotConverged(
-                    f"no convergence in {max_dim} Lanczos steps "
-                    f"(residual {beta * abs(y[-1]) * abs(t):.2e})"
-                )
-        betas.append(beta)
-        basis.append({k: v / beta for k, v in w.items()})
+        betas.append(math.sqrt(sum(c * c for c in w.values())))
+        if betas[-1] >= 1e-13:  # else an exact invariant subspace: every t stops
+            basis.append({k: v / betas[-1] for k, v in w.items()})
 
-    out: dict = {}
-    for coeff, vb in zip(y, basis):
-        _axpy(out, norm0 * float(coeff), vb)
-    return _pruned(o.kind, o.n, out, o.prune_error)
+    def at(t: float) -> OperatorVector:
+        if norm0 == 0.0:
+            return o.copy()
+        for m in range(1, max_dim + 1):
+            if len(betas) < m:
+                extend()
+            beta = betas[m - 1]
+            # expm on the skew tridiagonal block is the pricey part at large m;
+            # past m=60 only sample it every few steps
+            if beta < 1e-13 or m <= 60 or m % 5 == 0 or m == max_dim:
+                below = np.array(betas[: m - 1])
+                y = scipy.linalg.expm(t * (np.diag(below, -1) - np.diag(below, 1)))[:, 0]
+                residual = beta * abs(y[-1]) * abs(t)
+                if beta < 1e-13 or residual < tol:
+                    break  # converged, or an exact invariant subspace
+                if m == max_dim:
+                    raise KrylovNotConverged(
+                        f"no convergence in {max_dim} Lanczos steps (residual {residual:.2e})"
+                    )
+        out: dict = {}
+        for coeff, vb in zip(y, basis):
+            _axpy(out, norm0 * float(coeff), vb)
+        return _pruned(o.kind, o.n, out, o.prune_error)
+
+    return at
+
+
+def _check_method(method: str) -> None:
+    if method not in ("dense", "krylov"):
+        raise InvalidParams(f"unknown method {method!r}")
 
 
 def evolve_operator(
@@ -352,18 +358,17 @@ def evolve_operator(
     t: float,
     method: str = "dense",
     tol: float = 1e-10,
-    max_krylov: int = 400,
+    max_krylov: int = _KRYLOV_MAX_DIM,
 ) -> OperatorVector:
     """A(t) = e^(Lt) A under the Hamiltonian's Liouvillian."""
+    _check_method(method)
     terms = tuple(terms)
     entries = _term_codes(terms, o.kind, o.n)
     if t == 0.0:
         return o.copy()
     if method == "dense":
         return _dense_to_vector(_dense_heisenberg(entries, o)(t), o)
-    if method == "krylov":
-        return _krylov_evolve(terms, o, t, tol, max_krylov)
-    raise InvalidParams(f"unknown method {method!r}")
+    return _krylov_heisenberg(terms, o, tol, max_krylov)(t)
 
 
 # -- SYK Hamiltonian --------------------------------------------------------

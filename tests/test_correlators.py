@@ -143,6 +143,26 @@ class TestCij:
         k = c_ij_exact(h, 0, 3, a, ts, method="krylov", tol=1e-12)
         np.testing.assert_allclose(d.values, k.values, atol=1e-8)
 
+    def test_krylov_grid_runs_one_recurrence(self, monkeypatch):
+        # the Lanczos basis does not depend on t: a grid costs as many
+        # Liouvillian applies as its largest t alone, with the same values
+        n = 4
+        h = [spin_term(n, (k, k + 1), ls, c) for k in range(n - 1) for ls, c in (("XX", 1.0), ("YY", 1.0), ("ZZ", 0.6))]
+        h += [spin_term(n, (k,), "Z", 0.3 + 0.2 * k) for k in range(n)]
+        a = single_site_pauli(n, 0, "X")
+        ts = (0.5, 1.0)
+        calls = []
+        real = liouville.liouvillian_apply
+        monkeypatch.setattr(liouville, "liouvillian_apply", lambda *args: calls.append(1) or real(*args))
+        evolve_operator(h, a, max(ts), method="krylov")
+        alone = len(calls)
+        for j in range(n):
+            apart = [math.sqrt(projected_weight(evolve_operator(h, a, t, method="krylov"), j)) for t in ts]
+            calls.clear()
+            curve = c_ij_exact(h, 0, j, a, ts, method="krylov")
+            assert len(calls) == alone
+            assert [v.hex() for v in curve.values] == [min(v, 1.0).hex() for v in apart]
+
     def test_majorana_cij(self):
         n = 6
         h = build_syk_hamiltonian(n, 4, seed=4)
@@ -188,6 +208,16 @@ class TestHatC:
         h = [spin_term(3, (0,), "X", 0.4)]
         curve = hatc_ij_exact(h, 1, 1, a, (0.0, 0.5))
         assert curve.values == pytest.approx((1.0, 1.0), abs=1e-12)
+
+    def test_krylov_matches_dense(self):
+        rng = np.random.default_rng(3)
+        h = ring_terms(4, rng)
+        a = single_site_pauli(4, 0, "X")
+        ts = (0.0, 0.4, 1.0)
+        for j in range(4):
+            d = hatc_ij_exact(h, 0, j, a, ts, method="dense")
+            k = hatc_ij_exact(h, 0, j, a, ts, method="krylov", tol=1e-12)
+            np.testing.assert_allclose(d.values, k.values, atol=1e-8)
 
     def test_majorana_rejected(self):
         h = build_syk_hamiltonian(4, 2, seed=0)
@@ -314,6 +344,18 @@ class TestErrorContract:
         for j in (0, 5):
             with pytest.raises(InvalidParams):
                 c_ij_exact(syk, 1, j, majorana_mode(4, 1), (0.5,))
+
+    def test_unknown_method_rejected_up_front(self):
+        # before any work: a t = 0 grid or an empty grid needs no evolution
+        h = ring_terms(3, np.random.default_rng(12))
+        a = single_site_pauli(3, 0, "X")
+        for times in ((), (0.0,), (0.0, 0.5)):
+            with pytest.raises(InvalidParams, match="unknown method"):
+                c_ij_exact(h, 0, 1, a, times, method="magic")
+            with pytest.raises(InvalidParams, match="unknown method"):
+                hatc_ij_exact(h, 0, 1, a, times, method="magic")
+        with pytest.raises(InvalidParams, match="unknown method"):
+            evolve_operator(h, a, 0.0, method="magic")
 
     def test_odd_mode_count(self):
         h = build_syk_hamiltonian(5, 2, seed=2)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lightcone import liouville
 from lightcone.causal_trees import FactorSequence, is_creeping
 from lightcone.errors import (
     BasisMismatch,
@@ -298,6 +299,18 @@ class TestEvolution:
         assert vec_diff(d, k) < 1e-8
         # quadratic couplings keep a single mode in the one-string sector
         assert all(len(key) == 1 for key in d.terms)
+
+    def test_krylov_closure_matches_lone_calls(self):
+        # one shared recurrence, visited out of order, gives each t exactly
+        # what a fresh recurrence gives it
+        rng = np.random.default_rng(7)
+        h = random_2local(5, rng)
+        o = operator_vector("pauli", 5, {PauliString.single(5, 0, "X"): 0.6, PauliString.single(5, 0, "Z"): -1.7})
+        evolve = liouville._krylov_heisenberg(h, o, 1e-10, 400)
+        for t in (1.1, 0.3, 2.0, -0.7):
+            shared, lone = evolve(t), evolve_operator(h, o, t, method="krylov")
+            assert {k: c.hex() for k, c in shared.codes.items()} == {k: c.hex() for k, c in lone.codes.items()}
+            assert shared.prune_error.hex() == lone.prune_error.hex()
 
     def test_krylov_not_converged(self):
         rng = np.random.default_rng(9)
