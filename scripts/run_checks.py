@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run every invariant suite; nonzero exit on the first failure."""
+"""Run the acceptance criteria and self-checks (all, or the ids given);
+nonzero exit on the first failure."""
 
 import sys
 

@@ -24,34 +24,24 @@ from .ensembles import (
     EnsembleEntry,
     EnsembleSpec,
     complete_spin_spec,
-    ensemble_graph,
     ensemble_spec,
     mc_expect_c2,
     su2_heisenberg_spec,
     syk_rate_ratio,
     syk_spec,
-    theoremFS_series,
 )
-from .errors import ComputeError, ConfigError, InvalidParams, IoError, LightconeError
+from .errors import ConfigError, InvalidParams, IoError, LightconeError
 from .factor_graph import (
     Factor,
     WeightedFactorGraph,
     as_weighted,
-    build_graph,
     distance,
     genus,
     graph_from_json,
     standard_graph,
 )
 from .liouville import HamiltonianTerm, majorana_mode, single_site_pauli
-from .path_bounds import (
-    bessel_i,
-    corollary6_bound,
-    golden_section_min,
-    h_matrices,
-    lieb_robinson_bound,
-    theorem3_bound,
-)
+from .path_bounds import corollary6_bound, lieb_robinson_bound, theorem3_bound
 from .pauli import PauliString
 
 __all__ = ["main"]
@@ -186,12 +176,21 @@ def _load_spec(path: str) -> EnsembleSpec:
     return ensemble_spec(kind, n, entries, law=data.get("law", "gaussian"))
 
 
+def _write_out(out, write) -> None:
+    """Call write(fh) on stdout, or on the file at path out."""
+    if out is None:
+        write(sys.stdout)
+        return
+    try:
+        with open(out, "w", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise IoError(f"cannot write {out!r}: {exc}") from exc
+
+
 def _emit_curves(out, curves, config: dict, fmt: str) -> None:
     if fmt == "csv":
-        if out is None:
-            write_curves_csv(sys.stdout, curves, config)
-        else:
-            write_curves_csv(out, curves, config)
+        _write_out(out, lambda fh: write_curves_csv(fh, curves, config))
         return
     payload = {
         "version": __version__,
@@ -208,14 +207,7 @@ def _emit_curves(out, curves, config: dict, fmt: str) -> None:
         ],
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise IoError(f"cannot write {out!r}: {exc}") from exc
+    _write_out(out, lambda fh: fh.write(text))
 
 
 def _emit_table(out, header: list[str], rows, config: dict) -> None:
@@ -228,14 +220,7 @@ def _emit_table(out, header: list[str], rows, config: dict) -> None:
         for row in rows:
             fh.write(",".join(format(float(x), _FMT) for x in row) + "\n")
 
-    if out is None:
-        _write(sys.stdout)
-    else:
-        try:
-            with open(out, "w", newline="") as fh:
-                _write(fh)
-        except OSError as exc:
-            raise IoError(f"cannot write {out!r}: {exc}") from exc
+    _write_out(out, _write)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -404,176 +389,23 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-# -- invariant checks -------------------------------------------------------
-
-def _require(ok: bool, detail: str) -> None:
-    if not ok:
-        raise ComputeError(detail)
-
-
-def _check_combinatorics() -> list[str]:
-    from .causal_pairs import count_orderings, random_irreducible_pair
-    from .causal_trees import lemma4_bijection_check, irreducible_path_of_tree
-    from .causal_trees import FactorSequence, build_causal_forest
-    from .tree_counts import nbl
-
-    done = []
-    chain = build_graph(3, [(0, 1), (1, 2)])
-    seq = FactorSequence(
-        root=0, factors=(Factor(nodes=(0, 1)), Factor(nodes=(1, 2)))
-    )
-    path = irreducible_path_of_tree(build_causal_forest(chain, seq), 2)
-    _require(lemma4_bijection_check(chain, path, 4), "slot interleaving mismatch")
-    done.append("slot-interleaving bijection (chain)")
-
-    for b in (1, 2, 3):
-        for ell in range(1, 6):
-            _require(
-                nbl(b, ell, "bruteforce") == nbl(b, ell, "generating_function"),
-                f"attachment-count mismatch at b={b}, l={ell}",
-            )
-    done.append("attachment counts: Eulerian recurrence vs brute force")
-
-    pair, g = random_irreducible_pair(6, seed=0)
-    counts = count_orderings(pair, g)
-    _require(counts.n_psi >= 1, "empty ordering set for an irreducible pair")
-    done.append("ordering census on a random irreducible pair")
-    return done
-
-
-def _check_bounds() -> list[str]:
-    done = []
-    g = as_weighted(standard_graph("chain", 25))
-    i, j = 9, 15
-    for t in (0.5, 1.0, 1.5):
-        a = theorem3_bound(g, i, j, t)
-        b = corollary6_bound(g, i, j, t)
-        c = lieb_robinson_bound(g, i, j, t, alpha=math.e)
-        _require(a <= b + 1e-9 and b <= c + 1e-9, f"bound ordering broken at t={t}")
-        # interior pair, so boundary reflections are invisible at this depth
-        _require(
-            abs(b - bessel_i(6, 4.0 * t)) <= 1e-6 * max(b, 1e-300),
-            f"chain closed form off at t={t}",
-        )
-    done.append("bound ordering and chain closed form")
-
-    hm = h_matrices(g)
-    target = 2.0 * math.e * hm.h_tilde_max
-    _, best = golden_section_min(
-        lambda la: 2.0 * hm.h_tilde_max * math.exp(la) / la,
-        math.log(1.0 + 1e-6),
-        math.log(1e3),
-        tol=1e-12,
-    )
-    _require(abs(best - target) <= 1e-9 * target, "velocity infimum off")
-    _require(hm.h_tilde_max >= 2.0 * hm.h_max - 1e-12, "h_tilde below 2h")
-    done.append("front velocity infimum")
-    return done
-
-
-def _distance(one, two) -> float:
-    """l2 distance between two operator vectors of one basis."""
-    return math.sqrt(
-        sum(
-            (one.terms.get(k, 0.0) - two.terms.get(k, 0.0)) ** 2
-            for k in set(one.terms) | set(two.terms)
-        )
-    )
-
-
-def _check_simulation() -> list[str]:
-    from .liouville import build_syk_hamiltonian, evolve_operator, norm, spin_term
-    from .path_bounds import prop1_convert
-    from .correlators import hatc_ij_exact
-
-    done = []
-    rng = np.random.default_rng(2024)
-    n = 4
-    terms = []
-    for k in range(n - 1):
-        terms.append(spin_term(n, (k, k + 1), "XX", float(rng.normal())))
-        terms.append(spin_term(n, (k, k + 1), "ZZ", float(rng.normal())))
-    o = single_site_pauli(n, 0, "X")
-    ev = evolve_operator(terms, o, 1.5)
-    _require(abs(norm(ev) - 1.0) < 1e-10, "norm drift in dense evolution")
-    two = evolve_operator(terms, evolve_operator(terms, o, 0.6, method="krylov"), 0.9, method="krylov")
-    one = evolve_operator(terms, o, 1.5, method="krylov")
-    _require(_distance(one, two) < 1e-9, "time additivity broken in Krylov evolution")
-    done.append("norm preservation and additivity")
-
-    syk = build_syk_hamiltonian(8, 4, seed=2024)
-    psi = majorana_mode(8, 1)
-    dense = evolve_operator(syk, psi, 0.8)
-    krylov = evolve_operator(syk, psi, 0.8, method="krylov", tol=1e-12)
-    _require(_distance(dense, krylov) < 1e-8, "Majorana Krylov and dense disagree")
-    done.append("Majorana Krylov vs dense (SYK-8)")
-
-    ts = (0.4, 1.1)
-    c = c_ij_exact(terms, 0, 3, o, ts)
-    hc = hatc_ij_exact(terms, 0, 3, o, ts)
-    for cv, hv in zip(c.values, hc.values):
-        lo, hi = prop1_convert(hv, 2, source="hatc")
-        _require(lo - 1e-8 <= cv <= hi + 1e-8, "projector/probe sandwich broken")
-    done.append("projector vs probe sandwich")
-    return done
-
-
-def _check_ensembles() -> list[str]:
-    from .causal_pairs import theorem4_bound_bruteforce
-
-    done = []
-    r = theoremFS_series(8, 4, 1.0, 0.2, 5)
-    _require(r.lam_star == 24 * math.sqrt(3), "rate constant off")
-    x = r.terms[1] / r.terms[0]
-    for g_idx in range(5):
-        _require(
-            abs(r.terms[g_idx + 1] / r.terms[g_idx] - (g_idx + 1) * x)
-            <= 1e-10 * (g_idx + 1) * x,
-            "genus-term ratio broken",
-        )
-    done.append("genus series term structure")
-
-    factors = [Factor(nodes=(0, 1)), Factor(nodes=(1, 2)), Factor(nodes=(0, 2))]
-    entries = [
-        EnsembleEntry(
-            factor=f,
-            string=PauliString(
-                labels=tuple(1 if k in f.nodes else 0 for k in range(3))
-            ),
-            jsq=0.09,
-        )
-        for f in factors
-    ]
-    spec = ensemble_spec("pauli", 3, entries, seed=11)
-    mc = mc_expect_c2(spec, 0, 2, (0.5,), 30)
-    wg = ensemble_graph(spec)
-    bound = theorem4_bound_bruteforce(wg, 0, 2, 0.5).value
-    _require(
-        mc.mean[0] <= bound + 3 * mc.stderr[0],
-        "Monte Carlo exceeded the double-word bound",
-    )
-    done.append("Monte Carlo under the double-word bound")
-    return done
-
-
-_CHECK_GROUPS = {
-    "combinatorics": _check_combinatorics,
-    "bounds": _check_bounds,
-    "simulation": _check_simulation,
-    "ensembles": _check_ensembles,
-}
-
+# -- checks -----------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    groups = list(_CHECK_GROUPS) if args.suite == "all" else [args.suite]
-    for name in groups:
+    from . import criteria  # imported on use: the other commands never need it
+
+    table = {c.id: c for c in criteria.CRITERIA}
+    ids = list(table) if args.ids in ([], ["all"]) else args.ids
+    unknown = [i for i in ids if i not in table]
+    if unknown:
+        raise ConfigError(f"unknown check id(s) {unknown}; choose from all, {', '.join(table)}")
+    for i in ids:
         try:
-            passed = _CHECK_GROUPS[name]()
+            table[i].run()
         except LightconeError as exc:
-            sys.stdout.write(f"FAIL {name}: {exc}\n")
+            sys.stdout.write(f"FAIL {i}: {exc}\n")
             raise
-        for line in passed:
-            sys.stdout.write(f"ok {name}: {line}\n")
+        sys.stdout.write(f"ok {i}: {table[i].label}\n")
     return 0
 
 
@@ -641,10 +473,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_figures)
 
-    sp = sub.add_parser("check", help="run module invariant suites")
-    sp.add_argument(
-        "suite", choices=("all",) + tuple(_CHECK_GROUPS), nargs="?", default="all"
-    )
+    sp = sub.add_parser("check", help="run acceptance criteria and self-checks")
+    sp.add_argument("ids", nargs="*", help="c01 ... c13, self, or all (default)")
     sp.set_defaults(fn=_cmd_check)
     return p
 

@@ -362,6 +362,8 @@ def evolve_operator(
 ) -> OperatorVector:
     """A(t) = e^(Lt) A under the Hamiltonian's Liouvillian."""
     _check_method(method)
+    if max_krylov < 1:
+        raise InvalidParams(f"max_krylov must be >= 1, got {max_krylov}")
     terms = tuple(terms)
     entries = _term_codes(terms, o.kind, o.n)
     if t == 0.0:

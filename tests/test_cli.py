@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import lightcone
+from lightcone import criteria
 from lightcone.cli import main
 from lightcone.curves import read_curves_csv
+from lightcone.errors import ComputeError
 from lightcone.factor_graph import graph_to_json, standard_graph
 
 
@@ -284,27 +286,68 @@ class TestFiguresCommand:
 
 
 class TestCheckCommand:
-    def test_all_pass(self, capsys):
-        assert main(["check", "all"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("ok ") >= 8
+    def test_named_ids(self, capsys):
+        # the self-checks run only here; c07 and c13 also run in test_acceptance
+        assert main(["check", "c13", "self", "c07"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "ok c13: binomial factorial inequality"
+        assert out[1].startswith("ok self: norm preservation")
+        assert out[2] == "ok c07: attachment count identities"
+        assert len(out) == 3
 
-    def test_single_group(self, capsys):
-        assert main(["check", "bounds"]) == 0
-        out = capsys.readouterr().out
-        assert all(line.startswith("ok bounds:") for line in out.strip().splitlines())
+    def test_all_pass(self, monkeypatch, capsys):
+        # every table entry runs once, in table order, with or without "all"
+        ran = []
+        stubs = tuple(
+            criteria.Criterion(cid, f"stub {cid}", lambda cid=cid: ran.append(cid))
+            for cid in ("c02", "c01", "self")
+        )
+        monkeypatch.setattr(criteria, "CRITERIA", stubs)
+        for argv in (["check"], ["check", "all"]):
+            ran.clear()
+            assert main(argv) == 0
+            assert ran == ["c02", "c01", "self"]
+            assert capsys.readouterr().out.splitlines() == [
+                "ok c02: stub c02", "ok c01: stub c01", "ok self: stub self"
+            ]
+
+    def test_failure_exits_3(self, monkeypatch, capsys):
+        def broken():
+            raise ComputeError("value 2.0 above bound 1.0")
+
+        stubs = (
+            criteria.Criterion("c01", "fine", lambda: None),
+            criteria.Criterion("c02", "broken", broken),
+            criteria.Criterion("c03", "never reached", lambda: pytest.fail("ran past a failure")),
+        )
+        monkeypatch.setattr(criteria, "CRITERIA", stubs)
+        assert main(["check"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "ok c01: fine", "FAIL c02: value 2.0 above bound 1.0"
+        ]
+        assert "value 2.0 above bound 1.0" in captured.err
+
+    def test_unknown_id_exits_2(self, capsys):
+        assert main(["check", "c13", "c99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "c99" in captured.err
+
+    def test_table_ids(self):
+        ids = [c.id for c in criteria.CRITERIA]
+        assert ids == [f"c{k:02d}" for k in range(1, 14)] + ["self"]
 
 
 class TestThreadCap:
     def test_invalid_cap_rejected(self, monkeypatch):
         monkeypatch.setenv("LIGHTCONE_THREADS", "many")
-        assert main(["check", "combinatorics"]) == 2
+        assert main(["check", "c13"]) == 2
 
     def test_cap_exports(self, monkeypatch, capsys):
         monkeypatch.setenv("LIGHTCONE_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        assert main(["check", "combinatorics"]) == 0
+        assert main(["check", "c13"]) == 0
         import os
 
         assert os.environ["OMP_NUM_THREADS"] == "1"

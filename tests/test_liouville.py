@@ -319,6 +319,13 @@ class TestEvolution:
         with pytest.raises(KrylovNotConverged):
             evolve_operator(h, o, 2.0, method="krylov", max_krylov=3)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_krylov_cap_below_one_rejected(self, cap, t):
+        h = [spin_term(2, (0, 1), "XX", 1.0)]
+        with pytest.raises(InvalidParams):
+            evolve_operator(h, single_site_pauli(2, 0, "Z"), t, method="krylov", max_krylov=cap)
+
     def test_size_caps(self):
         n = 11
         h = [spin_term(n, (0, 1), "XX", 1.0)]
